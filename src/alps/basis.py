@@ -142,15 +142,25 @@ def _indicator_rows(kv: KnotVector, t: np.ndarray) -> np.ndarray:
     return ind
 
 
+def _term(weight: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """weight * values, with exactly 0 where the lower-degree value is 0.
+
+    Two knots a subnormal distance apart overflow their weight to inf away
+    from the pair, where the lower-degree value is 0; inf * 0 would be NaN.
+    """
+    with np.errstate(invalid="ignore"):
+        return np.where(values == 0.0, 0.0, weight * values)
+
+
 def _raise_degree(knots: np.ndarray, values: np.ndarray, t: np.ndarray, d: int) -> np.ndarray:
     """One step of the recursion: degree d-1 values -> degree d values."""
     n_funcs = knots.size - 1 - d
     den1 = knots[d : d + n_funcs] - knots[:n_funcs]
     den2 = knots[d + 1 : d + 1 + n_funcs] - knots[1 : 1 + n_funcs]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         w1 = np.where(den1 > 0, (t[:, None] - knots[None, :n_funcs]) / den1, 0.0)
         w2 = np.where(den2 > 0, (knots[None, d + 1 : d + 1 + n_funcs] - t[:, None]) / den2, 0.0)
-    return w1 * values[:, :n_funcs] + w2 * values[:, 1 : 1 + n_funcs]
+    return _term(w1, values[:, :n_funcs]) + _term(w2, values[:, 1 : 1 + n_funcs])
 
 
 def _basis_values(kv: KnotVector, t: np.ndarray, degree: int) -> np.ndarray:
@@ -181,8 +191,8 @@ def eval_basis_derivative(kv: KnotVector, epochs) -> BasisMatrix:
     knots, p, c = kv.knots, kv.p, kv.n_bases
     den1 = knots[p : p + c] - knots[:c]
     den2 = knots[p + 1 : p + 1 + c] - knots[1 : 1 + c]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         f1 = np.where(den1 > 0, p / den1, 0.0)
         f2 = np.where(den2 > 0, p / den2, 0.0)
-    values = f1 * lower[:, :c] - f2 * lower[:, 1 : 1 + c]
+    values = _term(f1, lower[:, :c]) - _term(f2, lower[:, 1 : 1 + c])
     return BasisMatrix(values=values, epochs=t, derivative_order=1)

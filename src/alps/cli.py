@@ -10,7 +10,6 @@ import csv
 import functools
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,14 +58,18 @@ class RunConfig:
         return LambdaGrid(self.lambda_lo, self.lambda_hi, self.lambda_num)
 
 
+def _error_line(exc: AlpsError) -> str:
+    message = " ".join(str(exc).split())
+    return f"error: {type(exc).__name__}: {message}"
+
+
 def _handle_errors(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
         except AlpsError as exc:
-            message = " ".join(str(exc).split())
-            click.echo(f"error: {type(exc).__name__}: {message}", err=True)
+            click.echo(_error_line(exc), err=True)
             sys.exit(exit_code_for(exc))
 
     return wrapper
@@ -121,7 +124,7 @@ def main(verbose: bool):
 @click.option("--model-out", type=click.Path(), default=None,
               help="Serialized model path (single-file mode).")
 @click.option("--batch", is_flag=True,
-              help="Treat DATA as a directory of CSVs; fit each concurrently.")
+              help="Treat DATA as a directory of CSVs; fit each in turn.")
 @click.option("--out-dir", type=click.Path(), default=None,
               help="Output directory for batch mode.")
 @_handle_errors
@@ -151,18 +154,23 @@ def _run_batch_fit(data_dir: Path, out_dir: Path, cfg: RunConfig) -> None:
     if not files:
         raise ParseError(f"no .csv files in {data_dir}")
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    def one(path: Path):
-        series = read_timeseries(path)
-        model = core.fit(series, p=cfg.p, q=cfg.q, placement=cfg.placement,
-                         lambda_grid=cfg.lambda_grid(), m_scan=cfg.m_scan)
-        core.save_model(model, out_dir / (path.stem + ".model.json"))
-        return path.name, model
-
-    with ThreadPoolExecutor() as pool:
-        results = list(pool.map(one, files))
-    for name, model in results:
-        click.echo(f"{name}: " + " ".join(_report_lines(model)))
+    # One file after another, in sorted order. A failing file is reported
+    # and the rest are still fitted.
+    first_failure = None
+    for path in files:
+        try:
+            series = read_timeseries(path)
+            model = core.fit(series, p=cfg.p, q=cfg.q, placement=cfg.placement,
+                             lambda_grid=cfg.lambda_grid(), m_scan=cfg.m_scan)
+            core.save_model(model, out_dir / (path.stem + ".model.json"))
+        except AlpsError as exc:
+            click.echo(f"{path.name}: {_error_line(exc)}", err=True)
+            if first_failure is None:
+                first_failure = exc
+            continue
+        click.echo(f"{path.name}: " + " ".join(_report_lines(model)))
+    if first_failure is not None:
+        sys.exit(exit_code_for(first_failure))
 
 
 def _prediction_epochs(model: core.AlpsModel, grid: int | None, at: str | None) -> np.ndarray:

@@ -15,10 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.stats
+import scipy.special
 
+from ._blas import blas_threads_for
 from .basis import KnotVector, build_knot_vector, eval_basis, eval_basis_derivative
 from .errors import (
+    AlpsError,
     ConfigError,
     DegenerateKnotsError,
     FitFailureError,
@@ -191,11 +193,12 @@ def _select(rows, floor):
 def _band(model: AlpsModel, basis, alpha: float) -> PredictionBand:
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-    mean = basis.values @ model.theta
-    X = scipy.linalg.cho_solve(model.normal_factorization, basis.values.T)
-    quad = np.einsum("ij,ji->i", basis.values, X)
+    with blas_threads_for(model.knot_vector.n_bases):
+        mean = basis.values @ model.theta
+        X = scipy.linalg.cho_solve(model.normal_factorization, basis.values.T)
+        quad = np.einsum("ij,ji->i", basis.values, X)
     std = math.sqrt(max(model.sigma2, 0.0)) * np.sqrt(np.clip(quad, 0.0, None))
-    tq = float(scipy.stats.t.ppf(1.0 - alpha / 2.0, model.df_res))
+    tq = float(scipy.special.stdtrit(model.df_res, 1.0 - alpha / 2.0))
     return PredictionBand(
         epochs=basis.epochs, mean=mean, std=std, half_width=tq * std, alpha=alpha
     )
@@ -236,9 +239,12 @@ def model_to_dict(model: AlpsModel) -> dict:
 
 
 def save_model(model: AlpsModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(model_to_dict(model), fh)
+            fh.write("\n")
+    except OSError as exc:
+        raise AlpsError(f"{path}: cannot write ({exc})") from exc
 
 
 def model_from_dict(doc: dict) -> AlpsModel:
@@ -272,6 +278,6 @@ def load_model(path) -> AlpsModel:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"{path}: cannot open ({exc})") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     return model_from_dict(doc)

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.stats
+import scipy.special
 
 from . import core
+from ._blas import blas_threads_for
 from .basis import eval_basis
 from .errors import ConfigError, InsufficientDataAfterRejectionError
 from .solver import DEFAULT_LAMBDA_GRID, LambdaGrid
@@ -43,10 +44,11 @@ def prediction_band_width(model: core.AlpsModel, epochs, alpha: float = 0.01) ->
     """Half-width of the 100(1-alpha)% band for a new observation:
     t-quantile times sigma_hat * sqrt(1 + fit variance term)."""
     basis = eval_basis(model.knot_vector, epochs)
-    X = scipy.linalg.cho_solve(model.normal_factorization, basis.values.T)
-    quad = np.clip(np.einsum("ij,ji->i", basis.values, X), 0.0, None)
+    with blas_threads_for(model.knot_vector.n_bases):
+        X = scipy.linalg.cho_solve(model.normal_factorization, basis.values.T)
+        quad = np.clip(np.einsum("ij,ji->i", basis.values, X), 0.0, None)
     sigma = math.sqrt(max(model.sigma2, 0.0))
-    tq = float(scipy.stats.t.ppf(1.0 - alpha / 2.0, model.df_res))
+    tq = float(scipy.special.stdtrit(model.df_res, 1.0 - alpha / 2.0))
     return tq * sigma * np.sqrt(1.0 + quad)
 
 

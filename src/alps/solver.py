@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from ._blas import blas_threads_for
 from .basis import BasisMatrix
 from .errors import (
     DegenerateVarianceError,
@@ -121,15 +122,16 @@ def fit_penalized(B, y, P: PenaltySpec) -> FitResult:
     if P.c != c:
         raise InvalidInputError(f"penalty built for c={P.c}, design has c={c}")
     _check_support(Bv, P)
-    G = Bv.T @ Bv
-    A = G + P.P
-    cho, ridged = _factorize(A)
-    theta = scipy.linalg.cho_solve(cho, Bv.T @ y)
-    resid = y - Bv @ theta
-    rss = float(resid @ resid)
-    M = scipy.linalg.cho_solve(cho, G)  # A^{-1} B'B
-    tr_h = float(np.trace(M))
-    tr_hh = float(np.sum(M * M.T))
+    with blas_threads_for(c):
+        G = Bv.T @ Bv
+        A = G + P.P
+        cho, ridged = _factorize(A)
+        theta = scipy.linalg.cho_solve(cho, Bv.T @ y)
+        resid = y - Bv @ theta
+        rss = float(resid @ resid)
+        M = scipy.linalg.cho_solve(cho, G)  # A^{-1} B'B
+        tr_h = float(np.trace(M))
+        tr_hh = float(np.sum(M * M.T))
     df_res = n - 2.0 * tr_h + tr_hh
     sigma2 = rss / df_res if df_res > 0 else float("nan")
     return FitResult(
@@ -146,9 +148,10 @@ def smoother_matrix(B, P: PenaltySpec) -> np.ndarray:
     """n x n matrix H mapping observations to fitted values."""
     Bv = _design(B)
     _check_support(Bv, P)
-    A = Bv.T @ Bv + P.P
-    cho, _ = _factorize(A)
-    return Bv @ scipy.linalg.cho_solve(cho, Bv.T)
+    with blas_threads_for(Bv.shape[1]):
+        A = Bv.T @ Bv + P.P
+        cho, _ = _factorize(A)
+        return Bv @ scipy.linalg.cho_solve(cho, Bv.T)
 
 
 def gcv_score(B, y, P: PenaltySpec) -> float:
@@ -159,10 +162,11 @@ def gcv_score(B, y, P: PenaltySpec) -> float:
     """
     Bv = _design(B)
     y = np.asarray(y, dtype=float)
-    n = Bv.shape[0]
-    result = fit_penalized(Bv, y, P)
-    cho = result.normal_factorization
-    tr_h = float(np.trace(scipy.linalg.cho_solve(cho, Bv.T @ Bv)))
+    n, c = Bv.shape
+    with blas_threads_for(c):
+        result = fit_penalized(Bv, y, P)
+        cho = result.normal_factorization
+        tr_h = float(np.trace(scipy.linalg.cho_solve(cho, Bv.T @ Bv)))
     denom = 1.0 - tr_h / n
     if denom < GCV_DENOM_FLOOR:
         return float("inf")
@@ -276,22 +280,23 @@ def minimize_gcv_lambda(B, y, q: int, grid: LambdaGrid = DEFAULT_LAMBDA_GRID):
     """
     Bv = _design(B)
     y = np.asarray(y, dtype=float)
-    profile = _GcvProfile(Bv, y, q)
-    floor = _cost_zero_floor(y)
+    with blas_threads_for(Bv.shape[1]):
+        profile = _GcvProfile(Bv, y, q)
+        floor = _cost_zero_floor(y)
 
-    points = grid.points()
-    evaluated = [(float(lam), profile(float(lam))) for lam in points]
-    finite = [i for i, (_, cost) in enumerate(evaluated) if np.isfinite(cost)]
-    if finite:
-        best_idx = 0
-        for i in range(1, len(points)):
-            if _replaces(evaluated[i][1], evaluated[i][0], evaluated[best_idx][1],
-                         evaluated[best_idx][0], floor):
-                best_idx = i
-        lo = points[max(best_idx - 1, 0)]
-        hi = points[min(best_idx + 1, len(points) - 1)]
-        if hi > lo:
-            evaluated.extend(_golden_section(profile, math.log(lo), math.log(hi)))
+        points = grid.points()
+        evaluated = [(float(lam), profile(float(lam))) for lam in points]
+        finite = [i for i, (_, cost) in enumerate(evaluated) if np.isfinite(cost)]
+        if finite:
+            best_idx = 0
+            for i in range(1, len(points)):
+                if _replaces(evaluated[i][1], evaluated[i][0], evaluated[best_idx][1],
+                             evaluated[best_idx][0], floor):
+                    best_idx = i
+            lo = points[max(best_idx - 1, 0)]
+            hi = points[min(best_idx + 1, len(points) - 1)]
+            if hi > lo:
+                evaluated.extend(_golden_section(profile, math.log(lo), math.log(hi)))
 
     best_lam, best_cost = float("nan"), float("inf")
     for lam, cost in sorted(evaluated):

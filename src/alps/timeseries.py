@@ -79,31 +79,34 @@ def read_timeseries(path, kind: str = "generic") -> TimeSeries:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"{path}: cannot open ({exc})") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        names = [h.strip().lower() for h in header]
-        if names[:2] != ["time", "value"] or len(names) > 3 or (
-            len(names) == 3 and names[2] != "sigma"
-        ):
-            raise ParseError(f"{path}: line 1: header must be time,value[,sigma]")
-        has_sigma = len(names) == 3
-        times, values, sigmas = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(names):
-                raise ParseError(f"{path}: line {lineno}: expected {len(names)} fields, got {len(row)}")
+    try:
+        with fh:
+            reader = csv.reader(fh)
             try:
-                times.append(float(row[0]))
-                values.append(float(row[1]))
-                if has_sigma:
-                    sigmas.append(float(row[2]))
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+                header = next(reader)
+            except StopIteration:
+                raise ParseError(f"{path}: empty file") from None
+            names = [h.strip().lower() for h in header]
+            if names[:2] != ["time", "value"] or len(names) > 3 or (
+                len(names) == 3 and names[2] != "sigma"
+            ):
+                raise ParseError(f"{path}: line 1: header must be time,value[,sigma]")
+            has_sigma = len(names) == 3
+            times, values, sigmas = [], [], []
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != len(names):
+                    raise ParseError(f"{path}: line {lineno}: expected {len(names)} fields, got {len(row)}")
+                try:
+                    times.append(float(row[0]))
+                    values.append(float(row[1]))
+                    if has_sigma:
+                        sigmas.append(float(row[2]))
+                except ValueError as exc:
+                    raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
     if not times:
         raise ParseError(f"{path}: no data rows")
     try:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from alps.basis import (
     KnotVector,
@@ -172,8 +172,16 @@ def random_knot_setup(draw):
     return np.array(sorted(times)), m, p
 
 
+# Knots a subnormal distance apart once gave NaN basis values and
+# derivatives: an overflowed weight times a zero lower-degree value.
+SUBNORMAL_GAP_1 = (np.array([0.0, 5.29e-308, 1.0, 2.0, 3.0, 4.0, 20.0]), 6, 2)
+SUBNORMAL_GAP_2 = (np.array([0.0, 2.2250738585e-309, 1.0, 2.0, 3.0, 4.0, 5.0]), 6, 2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(random_knot_setup(), st.floats(min_value=0.0, max_value=1.0))
+@example(SUBNORMAL_GAP_1, 0.5)
+@example(SUBNORMAL_GAP_2, 1.0)
 def test_partition_of_unity_property(setup, frac):
     times, m, p = setup
     kv = build_knot_vector(times, m, p)
@@ -201,6 +209,8 @@ def test_local_support_and_oracle_property(setup, frac):
 
 @settings(max_examples=40, deadline=None)
 @given(random_knot_setup(), st.floats(min_value=0.05, max_value=0.95))
+@example(SUBNORMAL_GAP_1, 0.5)
+@example(SUBNORMAL_GAP_2, 1.0)
 def test_derivative_rows_sum_property(setup, frac):
     times, m, p = setup
     kv = build_knot_vector(times, m, p)

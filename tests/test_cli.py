@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import alps
 from alps import core
 from alps.cli import RunConfig, main
 from alps.errors import ConfigError
@@ -119,6 +124,28 @@ class TestFitPredict:
             single = core.fit(read_timeseries(batch_dir / f"s{seed}.csv"))
             assert batch_doc["theta"] == single.theta.tolist()
 
+    def test_batch_keeps_going_past_a_failing_file(self, tmp_path):
+        batch_dir = tmp_path / "batch"
+        batch_dir.mkdir()
+        for name, seed in (("a", 1), ("c", 2), ("e", 3)):
+            run("synth", "gramacy-lee", "--n", 40, "--seed", seed,
+                "--out", batch_dir / f"{name}.csv")
+        (batch_dir / "b.csv").write_text("time,value\n2001.0,1.0\nabc,2.0\n")
+        (batch_dir / "d.csv").write_bytes(b"time,value\n2001.0,1.0\n2002.0,\xff\xfe\n")
+        out_dir = tmp_path / "models"
+        (out_dir / "e.model.json").mkdir(parents=True)  # e's model cannot be written
+        result = run("fit", batch_dir, "--batch", "--out-dir", out_dir)
+        assert result.exit_code == 3  # b.csv's, the first failure in sorted order
+        models = sorted(p.name for p in out_dir.iterdir() if p.is_file())
+        assert models == ["a.model.json", "c.model.json"]
+        reports = result.stdout.splitlines()
+        assert [line.split(":")[0] for line in reports] == ["a.csv", "c.csv"]
+        errors = result.stderr.splitlines()
+        assert len(errors) == 3
+        assert errors[0].startswith("b.csv: error: ParseError: ")
+        assert errors[1].startswith("d.csv: error: ParseError: ")
+        assert errors[2].startswith("e.csv: error: AlpsError: ")
+
     def test_batch_requires_out_dir(self, tmp_path):
         result = run("fit", tmp_path, "--batch")
         assert result.exit_code == 2
@@ -200,3 +227,12 @@ class TestSynthCommand:
         result = run("synth", "fusion", "--noise", -1, "--obs-out", tmp_path / "o.csv",
                      "--dense-out", tmp_path / "d.csv")
         assert result.exit_code == 2
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, alps.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(alps.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "False"
