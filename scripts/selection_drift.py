@@ -1,0 +1,158 @@
+"""Record which (m_hat, lambda_hat, gcv_cost) every fit selects on named
+inputs, and compare two such records.
+
+    PYTHONPATH=src python scripts/selection_drift.py --out drift.json
+    python scripts/selection_drift.py --compare parent.json change.json
+
+The inputs:
+
+- ``ice-field/s<seed>r<round>/cell<k>/fit<j>``: every ``core.fit`` that
+  ``outliers.detect_and_refit`` and ``fusion.reconstruct`` make on the
+  benchmark's ice-field cells, seeds 1-5, rounds 0-1;
+- ``cli-batch/s<seed>r<round>/file<k>``: the benchmark's CLI series;
+- ``criterion/<seed>``: the criterion-5 series (Gramacy-Lee, n = 150,
+  noise 0.05), seeds 0-89, through ``core.fit``; ``criterion/<seed>/m=n-1``
+  is the lambda search on the m = n - 1 basis that criterion 5 judges;
+- ``terminus/n1500``: one n = 1500 record (tanh step, trend, seasonal term,
+  noise 0.2) through ``core.fit(..., m_scan="strided")``, with its time.
+
+The benchmark inputs come from ``perfbench/inputs.py``, imported read-only.
+``--quick`` records only seeds 1 and 0-9 and skips the long record.
+"""
+
+import argparse
+import json
+import math
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def selected(model) -> list:
+    return [model.m_hat, model.lambda_hat, model.fit_metadata.gcv_cost]
+
+
+def record_fits(prefix: str, out: dict, fn):
+    """Run fn with core.fit recorded: one entry per fit, in call order."""
+    from alps import core
+    fit, count = core.fit, [0]
+
+    def recorded(*args, **kwargs):
+        model = fit(*args, **kwargs)
+        out[f"{prefix}/fit{count[0]}"] = selected(model)
+        count[0] += 1
+        return model
+
+    core.fit = recorded
+    try:
+        fn()
+    finally:
+        core.fit = fit
+
+
+def benchmark_inputs(out: dict, seeds) -> None:
+    sys.path.insert(0, str(PERFBENCH))
+    import inputs  # perfbench/inputs.py
+    from alps import core, fusion, outliers
+    from alps.timeseries import TimeSeries
+
+    for seed in seeds:
+        for k in (0, 1):
+            tag = f"s{seed}r{k}"
+            for c, cell in enumerate(inputs.ice_field(inputs.round_rng(seed, k))):
+                def cell_fits(cell=cell):
+                    report = outliers.detect_and_refit(TimeSeries(cell.times, cell.values))
+                    if cell.dense_times is not None:
+                        dense = TimeSeries(cell.dense_times, cell.dense_values)
+                        fusion.reconstruct(fusion.FusionInput(report.clean_data, dense))
+                record_fits(f"ice-field/{tag}/cell{c}", out, cell_fits)
+            for f, (t, y) in enumerate(inputs.cli_series(inputs.round_rng(seed, k))):
+                out[f"cli-batch/{tag}/file{f}"] = selected(core.fit(TimeSeries(t, y)))
+
+
+def criterion_inputs(out: dict, seeds) -> None:
+    from alps import core
+    from alps.basis import build_knot_vector, eval_basis
+    from alps.solver import minimize_gcv_lambda
+    from alps.synth import gramacy_lee_series
+
+    for seed in seeds:
+        series, _ = gramacy_lee_series(n=150, noise_sd=0.05, seed=seed)
+        model = core.fit(series)
+        out[f"criterion/{seed}"] = selected(model)
+        kv = build_knot_vector(series.times, len(series) - 1, 4)
+        lam, cost = minimize_gcv_lambda(eval_basis(kv, series.times), series.values, 2)
+        out[f"criterion/{seed}/m=n-1"] = [kv.m, lam, cost]
+
+
+def terminus_record(n: int = 1500, seed: int = 1):
+    from alps.timeseries import TimeSeries
+
+    rng = np.random.default_rng(seed)
+    t = np.sort(rng.uniform(2000.0, 2020.0, n))
+    t[0], t[-1] = 2000.0, 2020.0
+    y = (-8.0 * np.tanh((t - 2012.0) / 1.5) - 0.3 * (t - 2000.0)
+         + 0.8 * np.sin(2.0 * np.pi * t) + rng.normal(0.0, 0.2, n))
+    return TimeSeries(t, y)
+
+
+def record(quick: bool) -> dict:
+    from alps import core
+
+    out = {}
+    benchmark_inputs(out, [1] if quick else range(1, 6))
+    criterion_inputs(out, range(10) if quick else range(90))
+    if not quick:
+        started = time.perf_counter()
+        model = core.fit(terminus_record(), m_scan="strided")
+        out["terminus/n1500"] = selected(model)
+        out["terminus/n1500/seconds"] = time.perf_counter() - started
+    return out
+
+
+def compare(a: dict, b: dict) -> None:
+    keys = sorted(k for k in a.keys() & b.keys() if not k.endswith("/seconds"))
+    m_diff = [k for k in keys if a[k][0] != b[k][0]]
+    same = [k for k in keys if a[k][0] == b[k][0]]
+    finite = [k for k in same if math.isfinite(a[k][2]) and math.isfinite(b[k][2])]
+    bits = sum(1 for k in same if a[k][1:] == b[k][1:])
+    dlog = max(((abs(math.log(b[k][1] / a[k][1])), k) for k in finite), default=(0.0, None))
+    dcost = max(((abs(b[k][2] - a[k][2]) / max(abs(a[k][2]), 1e-300), k) for k in finite),
+                default=(0.0, None))
+    print(f"inputs compared: {len(keys)} (only in one record: "
+          f"{len(a.keys() ^ b.keys())})")
+    print(f"m_hat mismatches: {len(m_diff)}" + "".join(
+        f"\n  {k}: {a[k][0]} -> {b[k][0]}" for k in m_diff))
+    print(f"lambda_hat and gcv_cost bit-identical: {bits}/{len(same)}")
+    print(f"largest |dlog lambda|: {dlog[0]:.3g} ({dlog[1]})")
+    print(f"largest relative gcv_cost gap: {dcost[0]:.3g} ({dcost[1]})")
+    for k in sorted(a.keys() & b.keys()):
+        if k.endswith("/seconds"):
+            print(f"{k}: {a[k]:.2f} -> {b[k]:.2f}")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--out", help="write the record here as JSON")
+    ap.add_argument("--quick", action="store_true")
+    ap.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    args = ap.parse_args()
+    if args.compare:
+        a, b = (json.loads(Path(p).read_text()) for p in args.compare)
+        compare(a, b)
+        return
+    out = record(args.quick)
+    text = json.dumps(out, indent=1)
+    if args.out:
+        Path(args.out).write_text(text + "\n")
+    else:
+        print(text)
+
+
+if __name__ == "__main__":
+    main()

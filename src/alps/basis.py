@@ -4,9 +4,10 @@ A knot vector over ``m`` sections of degree ``p`` carries ``m + 2p + 1``
 knots: ``p`` extension knots on each side of the data domain, the domain
 endpoints, and ``m - 1`` interior knots. The number of basis functions is
 ``c = m + p``. Basis values follow the classic two-term recursion from the
-degree-0 indicator functions, with 0/0 terms evaluating to 0. Intervals are
-half-open except that the last data-domain span is closed on the right, so
-the final observation epoch is representable.
+degree-0 indicator functions, with 0/0 terms evaluating to 0, restricted to
+the p + 1 functions that can be nonzero at each epoch (de Boor's triangular
+scheme). Intervals are half-open except that the last data-domain span is
+closed on the right, so the final observation epoch is representable.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def build_knot_vector(times, m: int, p: int, placement: str = "quantile") -> Kno
 
 def _check_domain(kv: KnotVector, epochs: np.ndarray) -> None:
     lo, hi = kv.domain
-    bad = (epochs < lo) | (epochs > hi)
+    bad = ~((epochs >= lo) & (epochs <= hi))  # NaN too
     if np.any(bad):
         offenders = np.asarray(epochs)[bad]
         raise OutOfDomainError(
@@ -124,58 +125,49 @@ def _check_domain(kv: KnotVector, epochs: np.ndarray) -> None:
         )
 
 
-def _indicator_rows(kv: KnotVector, t: np.ndarray) -> np.ndarray:
-    """Degree-0 indicators over every span of the full knot list, with the
-    last data-domain span closed on the right."""
-    knots = kv.knots
-    ind = (knots[None, :-1] <= t[:, None]) & (t[:, None] < knots[None, 1:])
-    ind = ind.astype(float)
-    hi = kv.domain[1]
-    at_end = t == hi
-    if np.any(at_end):
-        # Snap right-endpoint epochs into the last positive-length span that
-        # ends at the domain boundary; the recursion then yields the left
-        # limit, which is the closed-span value.
-        last = int(np.searchsorted(knots, hi, side="left")) - 1
-        ind[at_end, :] = 0.0
-        ind[at_end, last] = 1.0
-    return ind
+def _term(num, den, lower: np.ndarray) -> np.ndarray:
+    """num/den (0 where den <= 0) times the lower-degree values, exactly 0
+    where those are 0: knots a subnormal distance apart overflow the ratio
+    to inf, and inf * 0 would be NaN. Callers ignore the warnings."""
+    return np.where((lower == 0.0) | ~(den > 0), 0.0, num / den * lower)
 
 
-def _term(weight: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """weight * values, with exactly 0 where the lower-degree value is 0.
-
-    Two knots a subnormal distance apart overflow their weight to inf away
-    from the pair, where the lower-degree value is 0; inf * 0 would be NaN.
-    """
-    with np.errstate(invalid="ignore"):
-        return np.where(values == 0.0, 0.0, weight * values)
-
-
-def _raise_degree(knots: np.ndarray, values: np.ndarray, t: np.ndarray, d: int) -> np.ndarray:
-    """One step of the recursion: degree d-1 values -> degree d values."""
-    n_funcs = knots.size - 1 - d
-    den1 = knots[d : d + n_funcs] - knots[:n_funcs]
-    den2 = knots[d + 1 : d + 1 + n_funcs] - knots[1 : 1 + n_funcs]
+def _local_values(kv: KnotVector, t: np.ndarray, degree: int):
+    """The degree+1 functions that may be nonzero at each epoch, between two
+    zero columns, by the two-term recursion restricted to them (so bit for
+    bit the full recursion's values); the index of the first; the knots
+    around each span. An epoch at the domain's right end falls in the last
+    positive-length span ending there: the recursion then yields the left
+    limit, the closed-span value."""
+    knots, p, hi = kv.knots, kv.p, kv.domain[1]
+    span = np.searchsorted(knots, t, side="right") - 1
+    span[t == hi] = np.searchsorted(knots, hi, side="left") - 1
+    near = knots[span[:, None] + np.arange(-p, p + 2)]  # column p + k: knot span + k
+    values, tc = np.zeros((t.size, degree + 3)), t[:, None]
+    values[:, 1] = 1.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        w1 = np.where(den1 > 0, (t[:, None] - knots[None, :n_funcs]) / den1, 0.0)
-        w2 = np.where(den2 > 0, (knots[None, d + 1 : d + 1 + n_funcs] - t[:, None]) / den2, 0.0)
-    return _term(w1, values[:, :n_funcs]) + _term(w2, values[:, 1 : 1 + n_funcs])
+        for d in range(1, degree + 1):
+            # Functions j = span-d..span: knots j, j+d, then j+1, j+d+1.
+            lower = values[:, : d + 2]
+            lo, up = near[:, p - d : p + 1], near[:, p : p + d + 1]
+            rising = _term(tc - lo, up - lo, lower[:, :-1])
+            lo, up = near[:, p - d + 1 : p + 2], near[:, p + 1 : p + d + 2]
+            values[:, 1 : d + 2] = rising + _term(up - tc, up - lo, lower[:, 1:])
+    return span - degree, values, near
 
 
-def _basis_values(kv: KnotVector, t: np.ndarray, degree: int) -> np.ndarray:
-    values = _indicator_rows(kv, t)
-    for d in range(1, degree + 1):
-        values = _raise_degree(kv.knots, values, t, d)
-    return values
+def _dense(first: np.ndarray, values: np.ndarray, n_cols: int) -> np.ndarray:
+    out = np.zeros((first.size, n_cols))
+    out[np.arange(first.size)[:, None], first[:, None] + np.arange(values.shape[1])] = values
+    return out
 
 
 def eval_basis(kv: KnotVector, epochs) -> BasisMatrix:
     """Evaluate all ``c = m + p`` degree-p basis functions at the epochs."""
     t = np.atleast_1d(np.asarray(epochs, dtype=float))
     _check_domain(kv, t)
-    values = _basis_values(kv, t, kv.p)
-    return BasisMatrix(values=values, epochs=t, derivative_order=0)
+    first, values, _ = _local_values(kv, t, kv.p)
+    return BasisMatrix(values=_dense(first, values[:, 1:-1], kv.n_bases), epochs=t)
 
 
 def eval_basis_derivative(kv: KnotVector, epochs) -> BasisMatrix:
@@ -187,12 +179,11 @@ def eval_basis_derivative(kv: KnotVector, epochs) -> BasisMatrix:
         raise InvalidInputError("derivative needs degree p >= 1")
     t = np.atleast_1d(np.asarray(epochs, dtype=float))
     _check_domain(kv, t)
-    lower = _basis_values(kv, t, kv.p - 1)  # c + 1 columns
-    knots, p, c = kv.knots, kv.p, kv.n_bases
-    den1 = knots[p : p + c] - knots[:c]
-    den2 = knots[p + 1 : p + 1 + c] - knots[1 : 1 + c]
-    with np.errstate(divide="ignore", over="ignore"):
-        f1 = np.where(den1 > 0, p / den1, 0.0)
-        f2 = np.where(den2 > 0, p / den2, 0.0)
-    values = _term(f1, lower[:, :c]) - _term(f2, lower[:, 1 : 1 + c])
-    return BasisMatrix(values=values, epochs=t, derivative_order=1)
+    p = kv.p
+    first, lower, near = _local_values(kv, t, p - 1)
+    # Functions i = first-1..first+p-1: knots i, i+p, then i+1, i+p+1.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        values = (_term(p, near[:, p : 2 * p + 1] - near[:, : p + 1], lower[:, :-1])
+                  - _term(p, near[:, p + 1 :] - near[:, 1 : p + 2], lower[:, 1:]))
+    return BasisMatrix(values=_dense(first - 1, values, kv.n_bases), epochs=t,
+                       derivative_order=1)

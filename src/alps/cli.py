@@ -225,7 +225,7 @@ def outliers_cmd(data, p, q, placement, lambda_lo, lambda_hi, lambda_num, m_scan
     series = read_timeseries(data)
     report = outliers.detect_and_refit(
         series, p=cfg.p, q=cfg.q, threshold1=cfg.threshold1, threshold2=cfg.threshold2,
-        placement=cfg.placement, lambda_grid=cfg.lambda_grid(),
+        placement=cfg.placement, lambda_grid=cfg.lambda_grid(), m_scan=cfg.m_scan,
     )
     with open(flags_out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -1,10 +1,12 @@
 """Model fitting: scan section counts, select (m, lambda) by GCV, refit,
 and produce predictions, derivatives, and t-confidence bands.
 
-The scan walks m = 1..n-1, runs the lambda search for each section count,
-and keeps the configuration with the smallest GCV cost, preferring fewer
-sections on ties. The refit at the winning configuration caches the normal
-factorization so bands at new epochs never re-solve the fit.
+The scan hands the basis of each section count m = 1..n-1 to one lambda
+search, which diagonalizes each in turn and then scores all of them in
+lock-step. It keeps the configuration with the smallest GCV cost,
+preferring fewer sections on ties. The refit at the winning configuration
+caches the normal factorization so bands at new epochs never re-solve the
+fit.
 """
 
 from __future__ import annotations
@@ -25,16 +27,15 @@ from .errors import (
     DegenerateKnotsError,
     FitFailureError,
     InsufficientDataError,
-    NoValidLambdaError,
+    InvalidInputError,
     ParseError,
-    RankDeficiencyError,
 )
 from .penalty import penalty_matrix
 from .solver import (
     DEFAULT_LAMBDA_GRID,
     LambdaGrid,
     _cost_zero_floor,
-    _tied,
+    best_columns,
     fit_penalized,
     minimize_gcv_lambda,
 )
@@ -132,26 +133,29 @@ def fit(
     times, y = data.times, data.values
     floor = _cost_zero_floor(y)
 
-    def evaluate(m: int):
-        try:
-            kv = build_knot_vector(times, m, p, placement)
-            B = eval_basis(kv, times)
-            lam, cost = minimize_gcv_lambda(B, y, q, lambda_grid)
-            return (m, lam, cost)
-        except (DegenerateKnotsError, NoValidLambdaError, RankDeficiencyError):
-            return (m, float("nan"), float("inf"))
+    def scan(ms):
+        """Rows (m, lambda_hat, cost), from one lambda search over all ms."""
+        knots = {}
+        for m in ms:
+            try:
+                knots[m] = build_knot_vector(times, m, p, placement)
+            except DegenerateKnotsError:
+                pass
+        designs = (eval_basis(kv, times) for kv in knots.values())
+        lam, cost = minimize_gcv_lambda(designs, y, q, lambda_grid)
+        found = dict(zip(knots, zip(lam.tolist(), cost.tolist())))
+        return [(m, *found.get(m, (float("nan"), float("inf")))) for m in ms]
 
     if m_scan == "strided" and n > STRIDE_THRESHOLD:
         stride = math.ceil(n / 100)
-        rows = [evaluate(m) for m in range(1, n, stride)]
+        rows = scan(range(1, n, stride))
         best_m = _select(rows, floor)[0]
         seen = {m for m, _, _ in rows}
         refine = [m for m in range(max(1, best_m - stride), min(n - 1, best_m + stride) + 1)
                   if m not in seen]
-        rows.extend(evaluate(m) for m in refine)
-        rows.sort(key=lambda r: r[0])
+        rows = sorted(rows + scan(refine))
     else:
-        rows = [evaluate(m) for m in range(1, n)]
+        rows = scan(range(1, n))
 
     m_hat, lambda_hat, cost = _select(rows, floor)
     if not np.isfinite(cost):
@@ -175,17 +179,10 @@ def fit(
 
 
 def _select(rows, floor):
-    """Smallest cost wins; ties (relative 1e-12 or both at the zero floor)
-    keep the smaller section count."""
-    best = None
-    for m, lam, cost in sorted(rows, key=lambda r: r[0]):
-        if not np.isfinite(cost):
-            continue
-        if best is None:
-            best = (m, lam, cost)
-        elif not _tied(cost, best[2], floor) and cost < best[2]:
-            best = (m, lam, cost)
-    if best is None:
+    """Least cost over rows sorted by m; ties keep the smaller m."""
+    ms, _, costs = zip(*rows)
+    best = rows[best_columns(np.array([costs]), np.array([ms], dtype=float), floor, -1)[0]]
+    if not np.isfinite(best[2]):
         return rows[0][0], float("nan"), float("inf")
     return best
 
@@ -258,17 +255,21 @@ def model_from_dict(doc: dict) -> AlpsModel:
         c = m + p
         if theta.shape != (c,) or factor.shape != (c, c):
             raise ParseError("coefficient/factor dimensions inconsistent with m + p")
+        lam, sigma2, df_res = float(doc["lambda"]), float(doc["sigma2"]), float(doc["df_res"])
+        finite = all(np.all(np.isfinite(v)) for v in (lam, sigma2, df_res, theta, factor, kv.knots))
+        if not (finite and sigma2 >= 0 and df_res > 0 and kv.domain[0] < kv.domain[1]):
+            raise ParseError(f"NaN or zero-width bands: {sigma2=}, {df_res=}, {kv.domain=}")
         meta = FitMetadata(
             m_hat=m, gcv_cost=float(doc["gcv_cost"]), placement=doc["placement"],
             n=int(doc["n"]), scan=(), ridged=bool(doc.get("ridged", False)),
         )
         return AlpsModel(
-            knot_vector=kv, p=p, q=q, lambda_hat=float(doc["lambda"]), theta=theta,
-            df_res=float(doc["df_res"]), sigma2=float(doc["sigma2"]),
+            knot_vector=kv, p=p, q=q, lambda_hat=lam, theta=theta,
+            df_res=df_res, sigma2=sigma2,
             normal_factorization=(factor, bool(doc["factor_lower"])),
             fit_metadata=meta,
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, InvalidInputError) as exc:
         raise ParseError(f"malformed model document: {exc}") from exc
 
 

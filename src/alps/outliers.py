@@ -63,7 +63,7 @@ def _flag(model: core.AlpsModel, series: TimeSeries, threshold: float) -> np.nda
 
 
 def _fit_stage(series: TimeSeries, p, q, placement, lambda_grid,
-               flagged, stage: str) -> core.AlpsModel:
+               flagged, stage: str, m_scan: str = "exhaustive") -> core.AlpsModel:
     """Fit one pass, or fail with the flags accumulated so far."""
     if len(series) < p + 2:
         raise InsufficientDataAfterRejectionError(
@@ -71,7 +71,8 @@ def _fit_stage(series: TimeSeries, p, q, placement, lambda_grid,
             f"flagged so far: {sorted(int(i) for i in flagged)}",
             flagged_so_far=tuple(int(i) for i in flagged),
         )
-    return core.fit(series, p=p, q=q, placement=placement, lambda_grid=lambda_grid)
+    return core.fit(series, p=p, q=q, placement=placement, lambda_grid=lambda_grid,
+                    m_scan=m_scan)
 
 
 def detect_and_refit(
@@ -82,6 +83,7 @@ def detect_and_refit(
     threshold2: float = 1.2,
     placement: str = "quantile",
     lambda_grid: LambdaGrid = DEFAULT_LAMBDA_GRID,
+    m_scan: str = "exhaustive",
 ) -> OutlierReport:
     """Run the two-pass rejection and return flags plus the cleaned fit."""
     if threshold1 <= 0 or threshold2 <= 0:
@@ -89,19 +91,20 @@ def detect_and_refit(
     n = len(data)
     indices = np.arange(n)
 
-    model1 = core.fit(data, p=p, q=q, placement=placement, lambda_grid=lambda_grid)
+    model1 = core.fit(data, p=p, q=q, placement=placement, lambda_grid=lambda_grid,
+                      m_scan=m_scan)
     level1_mask = _flag(model1, data, threshold1)
     level1 = indices[level1_mask]
 
     survivors = data.subset(~level1_mask)
     survivor_idx = indices[~level1_mask]
-    model2 = _fit_stage(survivors, p, q, placement, lambda_grid, level1, "level 2")
+    model2 = _fit_stage(survivors, p, q, placement, lambda_grid, level1, "level 2", m_scan)
     level2_mask = _flag(model2, survivors, threshold2)
     level2 = survivor_idx[level2_mask]
 
     clean = survivors.subset(~level2_mask)
     flagged_all = np.concatenate((level1, level2))
-    final = _fit_stage(clean, p, q, placement, lambda_grid, flagged_all, "final fit")
+    final = _fit_stage(clean, p, q, placement, lambda_grid, flagged_all, "final fit", m_scan)
     return OutlierReport(
         level1_indices=tuple(int(i) for i in level1),
         level2_indices=tuple(int(i) for i in level2),

@@ -3,15 +3,21 @@ smoothing-parameter search.
 
 The normal matrix ``A = B'B + P`` is always handled through a symmetric
 positive-definite factorization, never an explicit inverse. The lambda
-search diagonalizes the pencil ``(D'D, B'B + D'D)`` once, which makes every
-subsequent GCV evaluation O(c); a direct per-lambda Cholesky path serves as
-fallback for pathological designs.
+search runs in two phases. First each design's pencil ``(D'D, B'B + D'D)``
+is diagonalized once (``gcv_profile``), after which a GCV cost is O(c)
+arithmetic on the eigenvalues; a direct per-lambda Cholesky path serves
+pathological designs. Then ``search_lambda`` scores a whole stack of
+profiles in lock-step as arrays: every grid point of every row, then the
+golden-section steps of all rows together. ``minimize_gcv_lambda`` runs
+both phases for one design or for a sequence of them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -65,6 +71,7 @@ class FitResult:
     theta: np.ndarray
     normal_factorization: tuple
     residual_ss: float
+    tr_h: float
     df_res: float
     sigma2: float
     ridged: bool = False
@@ -93,6 +100,14 @@ def _factorize(A: np.ndarray):
         raise RankDeficiencyError(
             "normal matrix not positive definite even after ridge repair"
         ) from None
+
+
+def _normal_solve(Bv, y, G, A):
+    """For A = B'B + P: factor, ridge used, theta, rss, A^{-1} B'B (trace tr(H))."""
+    cho, ridged = _factorize(A)
+    theta = scipy.linalg.cho_solve(cho, Bv.T @ y)
+    resid = y - Bv @ theta
+    return cho, ridged, theta, float(resid @ resid), scipy.linalg.cho_solve(cho, G)
 
 
 def _check_support(Bv: np.ndarray, P: PenaltySpec) -> None:
@@ -124,12 +139,7 @@ def fit_penalized(B, y, P: PenaltySpec) -> FitResult:
     _check_support(Bv, P)
     with blas_threads_for(c):
         G = Bv.T @ Bv
-        A = G + P.P
-        cho, ridged = _factorize(A)
-        theta = scipy.linalg.cho_solve(cho, Bv.T @ y)
-        resid = y - Bv @ theta
-        rss = float(resid @ resid)
-        M = scipy.linalg.cho_solve(cho, G)  # A^{-1} B'B
+        cho, ridged, theta, rss, M = _normal_solve(Bv, y, G, G + P.P)
         tr_h = float(np.trace(M))
         tr_hh = float(np.sum(M * M.T))
     df_res = n - 2.0 * tr_h + tr_hh
@@ -138,6 +148,7 @@ def fit_penalized(B, y, P: PenaltySpec) -> FitResult:
         theta=theta,
         normal_factorization=cho,
         residual_ss=rss,
+        tr_h=tr_h,
         df_res=df_res,
         sigma2=sigma2,
         ridged=ridged,
@@ -155,22 +166,10 @@ def smoother_matrix(B, P: PenaltySpec) -> np.ndarray:
 
 
 def gcv_score(B, y, P: PenaltySpec) -> float:
-    """Sum of squared residuals, each normalized by (1 - tr(H)/n).
-
-    Returns +inf when the normalization denominator falls below the
-    degeneracy floor (near-interpolating configuration).
-    """
-    Bv = _design(B)
-    y = np.asarray(y, dtype=float)
-    n, c = Bv.shape
-    with blas_threads_for(c):
-        result = fit_penalized(Bv, y, P)
-        cho = result.normal_factorization
-        tr_h = float(np.trace(scipy.linalg.cho_solve(cho, Bv.T @ Bv)))
-    denom = 1.0 - tr_h / n
-    if denom < GCV_DENOM_FLOOR:
-        return float("inf")
-    return result.residual_ss / denom**2
+    """Sum of squared residuals, each normalized by (1 - tr(H)/n); +inf when
+    that denominator falls below the degeneracy floor."""
+    result = fit_penalized(B, y, P)
+    return float(_gcv_cost(result.residual_ss, result.tr_h, _design(B).shape[0]))
 
 
 def residual_df(H: np.ndarray) -> float:
@@ -191,6 +190,14 @@ def error_variance(y, B, theta, df_res: float) -> float:
     return float(resid @ resid) / df_res
 
 
+def _gcv_cost(rss, tr_h, n):
+    """GCV from the residual sum of squares and tr(H), elementwise; +inf where
+    1 - tr(H)/n is below the floor (near-interpolating configuration)."""
+    denom = 1.0 - tr_h / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom < GCV_DENOM_FLOOR, np.inf, np.maximum(rss, 0.0) / denom**2)
+
+
 def _cost_zero_floor(y: np.ndarray) -> float:
     # Residual sums of squares at or below this level are floating-point
     # noise from an exact reproduction; such costs are treated as ties so
@@ -198,135 +205,180 @@ def _cost_zero_floor(y: np.ndarray) -> float:
     return 1e-24 * max(float(y @ y), 1.0)
 
 
-def _tied(a: float, b: float, floor: float) -> bool:
-    hi = max(a, b)
-    return hi <= floor or abs(a - b) <= COST_TIE_RTOL * hi
+def best_columns(cost: np.ndarray, key: np.ndarray, floor: float, sign: int) -> np.ndarray:
+    """Index of each row's best column, scanning left to right: a finite
+    cost displaces the incumbent when smaller and not tied with it, or tied
+    with a larger ``sign * key``. Costs tie when the larger is at most
+    ``floor`` or they differ by at most COST_TIE_RTOL of the larger."""
+    rows, best = np.arange(cost.shape[0]), np.zeros(cost.shape[0], dtype=np.intp)
+    with np.errstate(invalid="ignore"):
+        for j in range(1, cost.shape[1]):
+            c, b = cost[:, j], cost[rows, best]
+            hi = np.maximum(c, b)
+            tied = (hi <= floor) | (np.abs(c - b) <= COST_TIE_RTOL * hi)
+            wins = np.where(tied, sign * key[:, j] > sign * key[rows, best], c < b)
+            best = np.where(np.isfinite(c) & (~np.isfinite(b) | wins), j, best)
+    return best
 
 
-def _replaces(cost: float, lam: float, best_cost: float, best_lam: float, floor: float) -> bool:
-    """Whether (cost, lam) should displace the incumbent: strictly smaller
-    cost wins; on ties the larger lambda (smoother model) wins."""
-    if not np.isfinite(cost):
-        return False
-    if not np.isfinite(best_cost):
-        return True
-    if _tied(cost, best_cost, floor):
-        return lam > best_lam
-    return cost < best_cost
+class GcvProfile(NamedTuple):
+    """One design's GCV against lambda, O(c) per cost. With mu the pencil
+    (D'D, B'B + D'D)'s eigenvalues in [0, 1], z B'y's coordinates in its
+    eigenvectors, g = 1 - mu, d = 1/(g + lam mu), e = lam mu d: tr(H) is
+    sum g d and rss = r0 + sum(w e^2 - v d (1 + e)); w = z^2/g and v = 0
+    off B'B's null space, w = 0 and v = z^2 on it, r0 = y'y - sum w. No
+    lambda-dependent term cancels against y'y, so shifting y moves lambda
+    by rounding only. mu is None where the pencil is not definite, and
+    direct(lam) factorizes B'B + lam D'D for each cost."""
+
+    mu: np.ndarray | None
+    w: np.ndarray | None = None
+    v: np.ndarray | None = None
+    r0: float = 0.0
+    direct: object = None
 
 
-class _GcvProfile:
-    """GCV as a function of lambda for a fixed design and penalty order.
+# Directions with g = 1 - mu at or below this count as B'B's null space: z
+# is rounding noise there, and z^2/g would amplify it.
+_NULL_G = 1e-12
 
-    Diagonalizes D'D against B'B + D'D once; each evaluation is then O(c).
-    Falls back to direct factorizations when the pencil is not definite.
-    """
 
-    def __init__(self, Bv: np.ndarray, y: np.ndarray, q: int):
-        n, c = Bv.shape
-        if not 1 <= q < c:
-            raise InvalidInputError(f"penalty order must satisfy 1 <= q < c, got q={q}, c={c}")
-        self.n = n
-        self.q = q
-        self._Bv = Bv
-        self._y = y
-        D = difference_matrix(q, c)
-        self._K = D.T @ D
-        G = Bv.T @ Bv
-        self._G = G
+def gcv_profile(B, y, q: int) -> GcvProfile:
+    """Diagonalize one design's pencil (in the caller's BLAS scope)."""
+    Bv = _design(B)
+    c = Bv.shape[1]
+    if not 1 <= q < c:
+        raise InvalidInputError(f"penalty order must satisfy 1 <= q < c, got q={q}, c={c}")
+    D = difference_matrix(q, c)
+    K, G = D.T @ D, Bv.T @ Bv
+    try:
+        mu, W = scipy.linalg.eigh(K, G + K)
+    except scipy.linalg.LinAlgError:
+        return GcvProfile(None, direct=functools.partial(_direct_cost, Bv, y, G, K))
+    mu = np.clip(mu, 0.0, 1.0)
+    z2, null = (W.T @ (Bv.T @ y)) ** 2, mu >= 1.0 - _NULL_G
+    w = np.where(null, 0.0, z2 / np.where(null, 1.0, 1.0 - mu))
+    return GcvProfile(mu, w, np.where(null, z2, 0.0), float(y @ y) - math.fsum(w))
+
+
+def _direct_cost(Bv, y, G, K, lam: float) -> float:
+    with blas_threads_for(G.shape[0]):
         try:
-            mu, W = scipy.linalg.eigh(self._K, G + self._K)
-        except scipy.linalg.LinAlgError:
-            self._mu = None
-            return
-        self._mu = np.clip(mu, 0.0, 1.0)
-        self._g = 1.0 - self._mu  # diag of W' G W
-        z = W.T @ (Bv.T @ y)
-        self._z2 = z * z
-        self._yty = float(y @ y)
-
-    def __call__(self, lam: float) -> float:
-        if self._mu is None:
-            return self._direct(lam)
-        d = 1.0 / (1.0 + (lam - 1.0) * self._mu)
-        tr_h = float(self._g @ d)
-        denom = 1.0 - tr_h / self.n
-        if denom < GCV_DENOM_FLOOR:
-            return float("inf")
-        rss = self._yty - 2.0 * float(d @ self._z2) + float((d * d * self._g) @ self._z2)
-        return max(rss, 0.0) / denom**2
-
-    def _direct(self, lam: float) -> float:
-        A = self._G + lam * self._K
-        try:
-            cho, _ = _factorize(A)
+            _, _, _, rss, M = _normal_solve(Bv, y, G, G + lam * K)
         except RankDeficiencyError:
             return float("inf")
-        theta = scipy.linalg.cho_solve(cho, self._Bv.T @ self._y)
-        resid = self._y - self._Bv @ theta
-        tr_h = float(np.trace(scipy.linalg.cho_solve(cho, self._G)))
-        denom = 1.0 - tr_h / self.n
-        if denom < GCV_DENOM_FLOOR:
-            return float("inf")
-        return float(resid @ resid) / denom**2
+        return float(_gcv_cost(rss, np.trace(M), Bv.shape[0]))
+
+
+# Most padded entries (width x rows x lambdas) scored at once: 128 kB per
+# temporary, which keeps the scan's peak memory near the scalar search's.
+_BLOCK = 1 << 14
+
+
+def _scorer(profiles, n: int, k: int):
+    """costs(lam): the cost of profile r at lam[r, j], for every r and each
+    of k columns j. Eigen profiles are scored in blocks of consecutive rows,
+    zero-padded to the block's widest. Sums run over the first axis of a
+    C-ordered array whose other axes hold at least the two sums, so NumPy
+    adds left to right and padding adds exact zeros last: no row depends on
+    its block, and no cost on k."""
+    eigen = [r for r, pr in enumerate(profiles) if pr.mu is not None]
+    widest = max((profiles[r].mu.size for r in eigen), default=1)
+    per, blocks = max(1, _BLOCK // (widest * k)), []
+    for rows in (eigen[i : i + per] for i in range(0, len(eigen), per)):
+        padded = np.zeros((4, max(profiles[r].mu.size for r in rows), len(rows), 1))
+        for i, (mu, w, v, _, _) in enumerate(profiles[r] for r in rows):
+            padded[:, : mu.size, i, 0] = mu, 1.0 - mu, w, v
+        blocks.append((rows, padded, np.array([[profiles[r].r0] for r in rows])))
+
+    def costs(lam: np.ndarray) -> np.ndarray:
+        out = np.empty(lam.shape)
+        for rows, (mu, g, w, v), r0 in blocks:
+            lam_b = lam[rows]
+            d = 1.0 / (1.0 + (lam_b - 1.0) * mu)
+            e = lam_b * mu * d
+            terms = np.stack((g * d, w * e * e - v * d * (1.0 + e)), axis=1)
+            tr_h, delta = np.add.reduce(terms, axis=0)
+            out[rows] = _gcv_cost(r0 + delta, tr_h, n)
+        for r, pr in enumerate(profiles):
+            if pr.mu is None:
+                out[r] = [pr.direct(float(lam_k)) for lam_k in lam[r]]
+        return out
+
+    return costs
+
+
+def _each(f, x: np.ndarray) -> np.ndarray:
+    # Per element: a vector exp/log may round by position; rows must not.
+    return np.array([f(v) for v in x])
+
+
+def search_lambda(profiles, y: np.ndarray, points: np.ndarray):
+    """Lambda search of every profile at once: all grid ``points``, then a
+    fixed-iteration golden section on log-lambda between the best grid
+    point's neighbours. The least cost scored wins, ties (``best_columns``)
+    the larger lambda. Arrays (lambda_hat, cost); (nan, inf) if degenerate."""
+    rows, floor = np.arange(len(profiles)), _cost_zero_floor(y)
+    lam = np.broadcast_to(points, (rows.size, points.size))
+    cost = _scorer(profiles, y.size, points.size)(lam)
+    best = best_columns(cost, lam, floor, 1)
+    lo, hi = points[np.maximum(best - 1, 0)], points[np.minimum(best + 1, points.size - 1)]
+    # Rows with a finite grid cost and a bracket of positive width refine.
+    active = np.flatnonzero(np.isfinite(cost).any(axis=1) & (hi > lo))
+    if active.size:
+        lam_g = np.full((rows.size, 2 + _REFINE_ITERS), np.inf)
+        cost_g = np.full_like(lam_g, np.inf)
+        costs = _scorer([profiles[r] for r in active], y.size, 1)
+        lam_g[active], cost_g[active] = _golden_section(costs, lo[active], hi[active])
+        lam, cost = np.hstack((lam, lam_g)), np.hstack((cost, cost_g))
+        order = np.lexsort((cost, lam))
+        lam, cost = np.take_along_axis(lam, order, 1), np.take_along_axis(cost, order, 1)
+    pick = best_columns(cost, lam, floor, 1)
+    lam, cost = lam[rows, pick], cost[rows, pick]
+    return np.where(np.isfinite(cost), lam, np.nan), np.where(np.isfinite(cost), cost, np.inf)
+
+
+def _golden_section(costs, lo: np.ndarray, hi: np.ndarray):
+    """Every row's golden-section steps in lock-step; returns the
+    (rows, 2 + _REFINE_ITERS) lambdas and costs scored."""
+    a, b = _each(math.log, lo), _each(math.log, hi)
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    lams = [_each(math.exp, x1), _each(math.exp, x2)]
+    f1, f2 = scored = [costs(x[:, None])[:, 0] for x in lams]
+    for _ in range(_REFINE_ITERS):
+        left = f1 <= f2
+        a, b = np.where(left, a, x1), np.where(left, x2, b)
+        x = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        lams.append(_each(math.exp, x))
+        scored.append(costs(lams[-1][:, None])[:, 0])
+        x1, x2 = np.where(left, x, x2), np.where(left, x1, x)
+        f1, f2 = np.where(left, scored[-1], f2), np.where(left, f1, scored[-1])
+    return np.column_stack(lams), np.column_stack(scored)
 
 
 def minimize_gcv_lambda(B, y, q: int, grid: LambdaGrid = DEFAULT_LAMBDA_GRID):
-    """Grid scan plus one golden-section refinement of GCV over lambda.
+    """The GCV-minimizing lambda of design ``B``: (lambda_hat, cost),
+    deterministic for fixed inputs. Raises NoValidLambdaError when every
+    candidate is degenerate.
 
-    Returns (lambda_hat, cost). Deterministic for fixed inputs; exact cost
-    ties resolve toward the larger (smoother) lambda. Raises
-    NoValidLambdaError when every candidate is degenerate.
+    ``B`` may instead be an iterable of designs. Each is diagonalized in its
+    own BLAS scope and dropped before the next is drawn, then
+    ``search_lambda`` searches all of them together. The result is then
+    arrays (lambda_hat, cost), one entry per design, (nan, inf) where every
+    candidate is degenerate; each entry equals the one-design search.
     """
-    Bv = _design(B)
     y = np.asarray(y, dtype=float)
-    with blas_threads_for(Bv.shape[1]):
-        profile = _GcvProfile(Bv, y, q)
-        floor = _cost_zero_floor(y)
-
-        points = grid.points()
-        evaluated = [(float(lam), profile(float(lam))) for lam in points]
-        finite = [i for i, (_, cost) in enumerate(evaluated) if np.isfinite(cost)]
-        if finite:
-            best_idx = 0
-            for i in range(1, len(points)):
-                if _replaces(evaluated[i][1], evaluated[i][0], evaluated[best_idx][1],
-                             evaluated[best_idx][0], floor):
-                    best_idx = i
-            lo = points[max(best_idx - 1, 0)]
-            hi = points[min(best_idx + 1, len(points) - 1)]
-            if hi > lo:
-                evaluated.extend(_golden_section(profile, math.log(lo), math.log(hi)))
-
-    best_lam, best_cost = float("nan"), float("inf")
-    for lam, cost in sorted(evaluated):
-        if _replaces(cost, lam, best_cost, best_lam, floor):
-            best_lam, best_cost = lam, cost
-    if not np.isfinite(best_cost):
-        raise NoValidLambdaError(
-            "every candidate lambda produced a degenerate GCV score"
-        )
-    return best_lam, best_cost
-
-
-def _golden_section(profile, log_lo: float, log_hi: float):
-    """Fixed-iteration golden-section pass on log-lambda; returns the
-    evaluated (lambda, cost) pairs."""
-    a, b = log_lo, log_hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1 = profile(math.exp(x1))
-    f2 = profile(math.exp(x2))
-    out = [(math.exp(x1), f1), (math.exp(x2), f2)]
-    for _ in range(_REFINE_ITERS):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = profile(math.exp(x1))
-            out.append((math.exp(x1), f1))
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = profile(math.exp(x2))
-            out.append((math.exp(x2), f2))
-    return out
+    one = isinstance(B, (BasisMatrix, np.ndarray))
+    profiles = []
+    for Bv in map(_design, [B] if one else B):
+        with blas_threads_for(Bv.shape[1]):
+            profiles.append(gcv_profile(Bv, y, q))
+        # Drop it before the next is drawn: with two large designs alive at
+        # once, a strided n = 1500 fit peaked 50 MB higher.
+        del Bv
+    lam, cost = search_lambda(profiles, y, grid.points())
+    if not one:
+        return lam, cost
+    if not np.isfinite(cost[0]):
+        raise NoValidLambdaError("every candidate lambda produced a degenerate GCV score")
+    return float(lam[0]), float(cost[0])

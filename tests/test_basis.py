@@ -219,3 +219,83 @@ def test_derivative_rows_sum_property(setup, frac):
     D = eval_basis_derivative(kv, [t])
     span = hi - lo
     assert abs(D.values.sum()) * span < 1e-9 * max(1.0, span)
+
+
+def dense_recursion(kv, t, degree):
+    """The full two-term recursion over every span of the knot list, from
+    degree-0 indicators with right-endpoint epochs snapped into the last
+    positive-length span; the oracle the local evaluation is checked
+    against byte for byte."""
+    knots = kv.knots
+    values = ((knots[None, :-1] <= t[:, None]) & (t[:, None] < knots[None, 1:])).astype(float)
+    at_end = t == kv.domain[1]
+    values[at_end, :] = 0.0
+    values[at_end, int(np.searchsorted(knots, kv.domain[1], side="left")) - 1] = 1.0
+
+    def term(weight, lower):
+        with np.errstate(invalid="ignore"):
+            return np.where(lower == 0.0, 0.0, weight * lower)
+
+    for d in range(1, degree + 1):
+        n_funcs = knots.size - 1 - d
+        den1 = knots[d : d + n_funcs] - knots[:n_funcs]
+        den2 = knots[d + 1 : d + 1 + n_funcs] - knots[1 : 1 + n_funcs]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            w1 = np.where(den1 > 0, (t[:, None] - knots[None, :n_funcs]) / den1, 0.0)
+            w2 = np.where(den2 > 0, (knots[None, d + 1 : d + 1 + n_funcs] - t[:, None]) / den2, 0.0)
+        values = term(w1, values[:, :n_funcs]) + term(w2, values[:, 1 : 1 + n_funcs])
+    return values
+
+
+def dense_derivative(kv, t):
+    lower = dense_recursion(kv, t, kv.p - 1)
+    knots, p, c = kv.knots, kv.p, kv.n_bases
+    den1 = knots[p : p + c] - knots[:c]
+    den2 = knots[p + 1 : p + 1 + c] - knots[1 : 1 + c]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        f1 = np.where(den1 > 0, p / den1, 0.0)
+        f2 = np.where(den2 > 0, p / den2, 0.0)
+        return (np.where(lower[:, :c] == 0.0, 0.0, f1 * lower[:, :c])
+                - np.where(lower[:, 1:] == 0.0, 0.0, f2 * lower[:, 1:]))
+
+
+@st.composite
+def rounded_epoch_setup(draw):
+    """Rounded epochs (so duplicates occur), a degree, a placement and a
+    section count; evaluation epochs add the domain ends, the interior
+    knots and a few uniform draws."""
+    n = draw(st.integers(min_value=6, max_value=60))
+    decimals = draw(st.integers(min_value=0, max_value=2))
+    raw = draw(st.lists(st.floats(min_value=0.0, max_value=20.0), min_size=n, max_size=n))
+    times = np.sort(np.round(np.array(raw), decimals))
+    p = draw(st.integers(min_value=2, max_value=4))
+    placement = draw(st.sampled_from(["quantile", "equidistant"]))
+    unique = np.unique(times).size
+    m = draw(st.integers(min_value=1, max_value=max(1, unique - 1)))
+    fracs = draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=0, max_size=5))
+    return times, m, p, placement, fracs
+
+
+@settings(max_examples=150, deadline=None)
+@given(rounded_epoch_setup())
+@example((SUBNORMAL_GAP_1[0], SUBNORMAL_GAP_1[1], SUBNORMAL_GAP_1[2], "quantile", [0.5]))
+@example((SUBNORMAL_GAP_2[0], SUBNORMAL_GAP_2[1], SUBNORMAL_GAP_2[2], "quantile", [1.0]))
+def test_local_evaluation_is_byte_equal_to_the_dense_recursion(setup):
+    times, m, p, placement, fracs = setup
+    try:
+        kv = build_knot_vector(times, m, p, placement)
+    except (DegenerateKnotsError, InvalidInputError):
+        return
+    lo, hi = kv.domain
+    epochs = np.concatenate(
+        (times, [lo, hi], kv.interior_knots(), lo + np.array(fracs) * (hi - lo)))
+    epochs = np.clip(epochs, lo, hi)
+    assert eval_basis(kv, epochs).values.tobytes() == dense_recursion(kv, epochs, p).tobytes()
+    assert (eval_basis_derivative(kv, epochs).values.tobytes()
+            == dense_derivative(kv, epochs).tobytes())
+
+
+def test_nan_epoch_is_out_of_domain():
+    kv = build_knot_vector(np.linspace(0, 1, 9), m=3, p=3)
+    with pytest.raises(OutOfDomainError):
+        eval_basis(kv, [0.5, np.nan])

@@ -101,6 +101,22 @@ class TestFitPredict:
         result = run("fit", tmp_path / "nope.csv")
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("field, value", [("sigma2", "NaN"), ("sigma2", "-2.0"),
+                                              ("df_res", "0.0"), ("df_res", "-1.0")])
+    def test_model_that_gives_broken_bands_is_a_parse_error(self, tmp_path, gl_data,
+                                                            field, value):
+        data, _ = gl_data
+        model_path = tmp_path / "model.json"
+        run("fit", data, "--model-out", model_path)
+        doc = json.loads(model_path.read_text())
+        doc[field] = "@"
+        model_path.write_text(json.dumps(doc).replace('"@"', value))
+        out = tmp_path / "grid.csv"
+        result = run("predict", model_path, "--grid", 5, "--out", out)
+        assert result.exit_code == 3
+        assert "error: ParseError:" in result.stderr
+        assert not out.exists()
+
     def test_out_of_domain_prediction_exit_code(self, tmp_path, gl_data):
         data, _ = gl_data
         model_path = tmp_path / "model.json"
@@ -170,6 +186,23 @@ class TestOutliersCommand:
             rows = list(csv.DictReader(fh))
         flagged = {int(r["index"]) for r in rows}
         assert set(idx) <= flagged
+
+    def test_m_scan_reaches_every_fit(self, tmp_path, monkeypatch):
+        # Long enough for the strided scan to differ from the exhaustive one.
+        series, _ = alps.synth.gramacy_lee_series(n=520, noise_sd=0.05, seed=1)
+        data = tmp_path / "long.csv"
+        write_timeseries(data, series)
+        scans, fit = [], core.fit
+
+        def spy(*args, **kwargs):
+            scans.append(kwargs.get("m_scan"))
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(core, "fit", spy)
+        result = run("outliers", data, "--m-scan", "strided",
+                     "--flags-out", tmp_path / "flags.csv")
+        assert result.exit_code == 0, result.output
+        assert scans == ["strided"] * 3
 
 
 class TestFuseCommand:

@@ -8,7 +8,7 @@ from alps import core
 from alps.basis import build_knot_vector, eval_basis
 from alps.errors import ConfigError, InsufficientDataError, OutOfDomainError, ParseError
 from alps.penalty import penalty_matrix
-from alps.solver import LambdaGrid, fit_penalized
+from alps.solver import LambdaGrid, fit_penalized, minimize_gcv_lambda
 from alps.synth import gramacy_lee, gramacy_lee_series
 from alps.timeseries import TimeSeries
 
@@ -82,6 +82,33 @@ class TestFit:
             core.fit(series, m_scan="fast")
         with pytest.raises(InsufficientDataError):
             core.fit(TimeSeries(t[:4], np.zeros(4)), p=4)
+
+    def test_every_scan_row_is_the_one_design_search(self, noisy_model):
+        # The scan scores all section counts together; each row must be
+        # exactly what the search gives on that m's basis alone.
+        series, model = noisy_model
+        rows = model.fit_metadata.scan
+        assert [m for m, _, _ in rows] == list(range(1, len(series)))
+        for m, lam, cost in rows:
+            B = eval_basis(build_knot_vector(series.times, m, 4), series.times)
+            assert (lam, cost) == minimize_gcv_lambda(B, series.values, 2)
+
+    def test_degenerate_rows_and_selection(self):
+        # Epochs one and two ulps above 1.0: from m = 10 on, quantile knots
+        # coincide beyond the degree, and those rows are degenerate.
+        u1 = np.nextafter(1.0, 2.0)
+        t = np.sort(np.repeat([0.0, 1.0, u1, np.nextafter(u1, 2.0), 5.0], 4))
+        y = np.cos(t) + np.tile([0.1, -0.1, 0.05, 0.0], 5)
+        model = core.fit(TimeSeries(t, y), p=2, q=1)
+        rows = model.fit_metadata.scan
+        assert [m for m, lam, cost in rows if np.isnan(lam) and cost == np.inf] == \
+            [10] + list(range(12, 20))
+        assert all(np.isfinite(lam) for _, lam, cost in rows if np.isfinite(cost))
+        assert (model.m_hat, model.lambda_hat, model.fit_metadata.gcv_cost) in rows
+        assert core._select([(1, np.nan, np.inf), (2, np.nan, np.inf)], 0.0)[0] == 1
+        assert core._select([(1, 0.5, 2.0), (2, 0.1, 2.0 * (1 - 1e-13)), (3, 1.0, 1.0)],
+                            0.0) == (3, 1.0, 1.0)
+        assert core._select([(1, 0.5, 2.0), (2, 0.1, 2.0 * (1 - 1e-13))], 0.0)[0] == 1
 
     def test_strided_flag_equals_exhaustive_below_threshold(self, linear_series):
         a = core.fit(linear_series, m_scan="exhaustive")
@@ -170,3 +197,37 @@ class TestSerialization:
         bad.write_text('{"format": "alps-model", "p": 4}')
         with pytest.raises(ParseError):
             core.load_model(bad)
+
+    @pytest.mark.parametrize("field, value", [
+        ("sigma2", float("nan")), ("sigma2", -2.0), ("sigma2", float("inf")),
+        ("df_res", 0.0), ("df_res", -1.0), ("df_res", float("nan")),
+        ("lambda", float("nan")), ("lambda", float("inf")),
+        ("theta", float("nan")), ("normal_factor", float("inf")), ("knots", float("nan")),
+    ])
+    def test_documents_that_give_broken_bands_are_rejected(self, noisy_model, field, value):
+        _, model = noisy_model
+        doc = core.model_to_dict(model)
+        if isinstance(doc[field], list):
+            doc[field] = [list(row) for row in doc[field]] if field == "normal_factor" \
+                else list(doc[field])
+            if field == "normal_factor":
+                doc[field][1][1] = value
+            else:
+                doc[field][1] = value
+        else:
+            doc[field] = value
+        with pytest.raises(ParseError):
+            core.model_from_dict(doc)
+
+    @pytest.mark.parametrize("knots", [lambda k: k[:-1], lambda k: k[::-1],
+                                       lambda k: [k[0]] * len(k)])
+    def test_malformed_knot_lists_are_parse_errors(self, noisy_model, knots):
+        doc = core.model_to_dict(noisy_model[1])
+        doc["knots"] = knots(doc["knots"])
+        with pytest.raises(ParseError):
+            core.model_from_dict(doc)
+
+    def test_fitted_models_still_round_trip(self, noisy_model, linear_model):
+        for model in (noisy_model[1], linear_model):
+            doc = core.model_to_dict(model)
+            assert core.model_to_dict(core.model_from_dict(doc)) == doc

@@ -11,12 +11,17 @@ from alps.errors import (
 )
 from alps.penalty import penalty_matrix
 from alps.solver import (
+    COST_TIE_RTOL,
+    GcvProfile,
     LambdaGrid,
+    best_columns,
     error_variance,
     fit_penalized,
+    gcv_profile,
     gcv_score,
     minimize_gcv_lambda,
     residual_df,
+    search_lambda,
     smoother_matrix,
 )
 from alps.synth import gramacy_lee
@@ -299,3 +304,139 @@ def test_fit_matches_oracle_property(seed, lam, q):
     res = fit_penalized(B, y, spec)
     expected = normal_equations_oracle(B.values, y, spec.P)
     np.testing.assert_allclose(res.theta, expected, atol=1e-8)
+
+
+class TestTieRule:
+    """best_columns, the one tie rule of the lambda search and the m scan."""
+
+    def test_smaller_cost_wins(self):
+        cost, key = np.array([[2.0, 1.0, 3.0]]), np.array([[1.0, 2.0, 3.0]])
+        assert best_columns(cost, key, 0.0, 1)[0] == 1
+
+    def test_lambda_tie_goes_to_the_larger_lambda(self):
+        cost = np.array([[1.0, 1.0 + 0.3 * COST_TIE_RTOL, 1.0 - 0.3 * COST_TIE_RTOL]])
+        key = np.array([[1.0, 3.0, 2.0]])
+        assert best_columns(cost, key, 0.0, 1)[0] == 1
+
+    def test_costs_at_the_zero_floor_tie(self):
+        cost, key = np.array([[1e-30, 5e-30]]), np.array([[1.0, 2.0]])
+        assert best_columns(cost, key, 1e-24, 1)[0] == 1
+        assert best_columns(cost, key, 0.0, 1)[0] == 0
+
+    def test_m_tie_keeps_the_smaller_m(self):
+        cost = np.array([[2.0, 2.0 * (1 - 0.5 * COST_TIE_RTOL), 2.0 * (1 - 0.9 * COST_TIE_RTOL)]])
+        key = np.array([[3.0, 4.0, 5.0]])
+        assert best_columns(cost, key, 0.0, -1)[0] == 0
+
+    def test_infinite_costs_never_win(self):
+        cost = np.array([[np.inf, 5.0, np.inf], [np.inf, np.inf, np.inf]])
+        key = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+        assert list(best_columns(cost, key, 0.0, 1)) == [1, 0]
+
+    def test_rows_are_independent(self):
+        cost = np.array([[1.0, 1.0], [2.0, 1.0]])
+        key = np.array([[1.0, 2.0], [1.0, 2.0]])
+        assert list(best_columns(cost, key, 0.0, -1)) == [0, 1]
+
+
+def _profiles(n=60, ms=(1, 4, 9, 20, 33, 58), seed=3):
+    rng = np.random.default_rng(seed)
+    times = np.sort(rng.uniform(0, 10, n))
+    y = np.sin(times) + rng.normal(0, 0.3, n)
+    designs = [eval_basis(build_knot_vector(times, m, 4), times) for m in ms]
+    return y, designs, [gcv_profile(B, y, 2) for B in designs]
+
+
+class TestSearchLambda:
+    def test_a_row_does_not_depend_on_its_batch(self):
+        # The rows differ in width (c = 5..62), so a row alone, in a small
+        # batch and in a batch padded to c = 62 sum over different shapes.
+        y, designs, profiles = _profiles()
+        points = LambdaGrid().points()
+        together = search_lambda(profiles, y, points)
+        reversed_ = search_lambda(profiles[::-1], y, points)
+        for i, (B, profile) in enumerate(zip(designs, profiles)):
+            alone = search_lambda([profile], y, points)
+            assert (alone[0][0], alone[1][0]) == (together[0][i], together[1][i])
+            assert (alone[0][0], alone[1][0]) == (reversed_[0][-1 - i], reversed_[1][-1 - i])
+            assert (alone[0][0], alone[1][0]) == minimize_gcv_lambda(B, y, 2)
+
+    def test_every_degenerate_row_gives_nan_and_inf(self):
+        times = np.array([0.0, 1.0])
+        B = eval_basis(build_knot_vector(times, m=1, p=2), times)
+        y = np.array([0.0, 1.0])
+        lam, cost = search_lambda([gcv_profile(B, y, 2)], y, LambdaGrid().points())
+        assert np.isnan(lam[0]) and cost[0] == np.inf
+
+    def test_rows_without_a_bracket_are_not_refined(self):
+        # A row whose every grid cost is infinite is scored on the grid only,
+        # even when other rows of the batch refine.
+        y, _, profiles = _profiles(ms=(9,))
+        calls = []
+
+        def direct(lam):
+            calls.append(lam)
+            return float("inf")
+
+        points = LambdaGrid().points()
+        lam, cost = search_lambda([profiles[0], GcvProfile(None, direct=direct)], y, points)
+        assert len(calls) == points.size
+        assert np.isfinite(cost[0]) and np.isnan(lam[1]) and cost[1] == np.inf
+
+    def test_an_iterable_of_designs_gives_one_row_each(self):
+        y, designs, _ = _profiles()
+        lam, cost = minimize_gcv_lambda(iter(designs), y, 2)
+        assert [minimize_gcv_lambda(B, y, 2) for B in designs] == list(zip(lam, cost))
+        times = np.array([0.0, 1.0])
+        B = eval_basis(build_knot_vector(times, m=1, p=2), times)
+        lam, cost = minimize_gcv_lambda([B], np.array([0.0, 1.0]), 2)
+        assert np.isnan(lam[0]) and cost[0] == np.inf
+        assert minimize_gcv_lambda([], y, 2)[0].size == 0
+
+    def test_a_one_point_grid_is_not_refined(self):
+        y, designs, _ = _profiles(ms=(9,))
+        lam, cost = minimize_gcv_lambda(designs[0], y, 2, LambdaGrid(0.5, 0.5, 1))
+        assert lam == 0.5
+        assert cost == pytest.approx(gcv_score(designs[0], y, penalty_matrix(2, 13, 0.5)),
+                                     rel=1e-9)
+
+    @pytest.mark.parametrize("shift", [123.0, -50.0])
+    def test_a_constant_shift_of_y_keeps_lambda(self, shift):
+        # The constant lies in the penalty's null space: the fit moves with
+        # it and GCV does not change, so neither should the search.
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            times = np.sort(rng.uniform(0, 10, 60))
+            y = np.sin(times) + rng.normal(0, 0.3, 60)
+            B = eval_basis(build_knot_vector(times, 15, 4), times)
+            lam0, cost0 = minimize_gcv_lambda(B, y, q=2)
+            lam1, cost1 = minimize_gcv_lambda(B, y + shift, q=2)
+            assert abs(np.log(lam1 / lam0)) <= 1e-9
+            assert cost1 == pytest.approx(cost0, rel=1e-9)
+
+    def test_profile_costs_match_the_direct_factorization(self, monkeypatch):
+        # The profile's O(c) cost against gcv_score's Cholesky path (the
+        # reference), and the search on the direct path, which a pencil that
+        # is not definite takes, against the search on the profile.
+        import scipy.linalg
+
+        from alps import solver
+
+        y, designs, profiles = _profiles(ms=(4, 20, 58))
+        lams = np.geomspace(1e-4, 1e4, 9)
+        costs = solver._scorer(profiles, y.size, lams.size)(np.tile(lams, (len(profiles), 1)))
+        for B, row in zip(designs, costs):
+            c = B.values.shape[1]
+            direct = [gcv_score(B, y, penalty_matrix(2, c, lam)) for lam in lams]
+            np.testing.assert_allclose(row, direct, rtol=1e-9)
+        eigen = [minimize_gcv_lambda(B, y, 2) for B in designs]
+
+        def not_definite(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("not definite")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", not_definite)
+        for B, (lam, cost) in zip(designs, eigen):
+            assert gcv_profile(B, y, 2).mu is None
+            lam_d, cost_d = minimize_gcv_lambda(B, y, 2)
+            assert cost_d == pytest.approx(cost, rel=1e-9)
+            assert lam_d == pytest.approx(lam, rel=1e-4)
