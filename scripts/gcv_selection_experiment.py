@@ -29,8 +29,8 @@ from alps.solver import (
 )
 from alps.synth import gramacy_lee, gramacy_lee_series
 
-P, Q = 4, 2  # fit's default degree and penalty order
-GRID = LambdaGrid()
+DEFAULT = core.FitConfig()
+P, Q, GRID = DEFAULT.p, DEFAULT.q, DEFAULT.lambda_grid
 TGRID = np.linspace(0.5, 2.5, 1000)
 TRUTH = gramacy_lee(TGRID)
 
@@ -110,13 +110,13 @@ def rule_rows(series, model):
 
     rows.append(judged("lambda grid scaled by n/c for each m", series, *scaled_grid(series)))
 
-    pinned = [core.fit(series, lambda_grid=LambdaGrid(lam, lam, 1))
+    pinned = [core.fit(series, core.FitConfig(lambda_grid=LambdaGrid(lam, lam, 1)))
               for lam in (GRID.lo, GRID.hi)]
     r_pinned = [truth_rmse(series, f.m_hat, f.lambda_hat) for f in pinned]
     rows.append(("endpoint full refits, m re-chosen by GCV", None,
                  r_joint < min(r_pinned)))
 
-    low = core.fit(series, lambda_grid=LambdaGrid(lo=1e-7))
+    low = core.fit(series, core.FitConfig(lambda_grid=LambdaGrid(lo=1e-7)))
     rows.append(judged("floor lowered to 1e-7", series, low.m_hat, low.lambda_hat))
 
     m, lam, _ = min(scan, key=lambda r: truth_rmse(series, r[0], r[1]))

@@ -1,5 +1,6 @@
 """Record which (m_hat, lambda_hat, gcv_cost) every fit selects on named
-inputs, and compare two such records.
+inputs, with a sha256 of each fit's model document, and compare two such
+records.
 
     PYTHONPATH=src python scripts/selection_drift.py --out drift.json
     python scripts/selection_drift.py --compare parent.json change.json
@@ -14,13 +15,17 @@ The inputs:
   noise 0.05), seeds 0-89, through ``core.fit``; ``criterion/<seed>/m=n-1``
   is the lambda search on the m = n - 1 basis that criterion 5 judges;
 - ``terminus/n1500``: one n = 1500 record (tanh step, trend, seasonal term,
-  noise 0.2) through ``core.fit(..., m_scan="strided")``, with its time.
+  noise 0.2) through ``core.fit`` with ``FitConfig(m_scan="strided")``, with
+  its time.
 
 The benchmark inputs come from ``perfbench/inputs.py``, imported read-only.
-``--quick`` records only seeds 1 and 0-9 and skips the long record.
+``--quick`` records only seeds 1 and 0-9 and skips the long record. Only
+the long record needs ``FitConfig``, so a ``--quick`` record can also be
+taken of sources from before it existed.
 """
 
 import argparse
+import hashlib
 import json
 import math
 import sys
@@ -33,7 +38,11 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def selected(model) -> list:
-    return [model.m_hat, model.lambda_hat, model.fit_metadata.gcv_cost]
+    from alps import core
+
+    doc = json.dumps(core.model_to_dict(model)).encode()
+    return [model.m_hat, model.lambda_hat, model.fit_metadata.gcv_cost,
+            hashlib.sha256(doc).hexdigest()]
 
 
 def record_fits(prefix: str, out: dict, fn):
@@ -108,7 +117,7 @@ def record(quick: bool) -> dict:
     criterion_inputs(out, range(10) if quick else range(90))
     if not quick:
         started = time.perf_counter()
-        model = core.fit(terminus_record(), m_scan="strided")
+        model = core.fit(terminus_record(), core.FitConfig(m_scan="strided"))
         out["terminus/n1500"] = selected(model)
         out["terminus/n1500/seconds"] = time.perf_counter() - started
     return out
@@ -119,7 +128,10 @@ def compare(a: dict, b: dict) -> None:
     m_diff = [k for k in keys if a[k][0] != b[k][0]]
     same = [k for k in keys if a[k][0] == b[k][0]]
     finite = [k for k in same if math.isfinite(a[k][2]) and math.isfinite(b[k][2])]
-    bits = sum(1 for k in same if a[k][1:] == b[k][1:])
+    bits = sum(1 for k in same if a[k][1:3] == b[k][1:3])
+    # Entries of a lambda search alone (m=n-1) carry no model document.
+    docs = [k for k in keys if len(a[k]) > 3 and len(b[k]) > 3]
+    doc_diff = [k for k in docs if a[k][3] != b[k][3]]
     dlog = max(((abs(math.log(b[k][1] / a[k][1])), k) for k in finite), default=(0.0, None))
     dcost = max(((abs(b[k][2] - a[k][2]) / max(abs(a[k][2]), 1e-300), k) for k in finite),
                 default=(0.0, None))
@@ -130,6 +142,8 @@ def compare(a: dict, b: dict) -> None:
     print(f"lambda_hat and gcv_cost bit-identical: {bits}/{len(same)}")
     print(f"largest |dlog lambda|: {dlog[0]:.3g} ({dlog[1]})")
     print(f"largest relative gcv_cost gap: {dcost[0]:.3g} ({dcost[1]})")
+    print(f"model documents differing: {len(doc_diff)}/{len(docs)}"
+          + "".join(f"\n  {k}" for k in doc_diff))
     for k in sorted(a.keys() & b.keys()):
         if k.endswith("/seconds"):
             print(f"{k}: {a[k]:.2f} -> {b[k]:.2f}")

@@ -15,6 +15,7 @@ from .basis import (
 )
 from .core import (
     AlpsModel,
+    FitConfig,
     PredictionBand,
     fit,
     load_model,
@@ -45,12 +46,9 @@ from .penalty import PenaltySpec, difference_matrix, penalty_matrix
 from .solver import (
     FitResult,
     LambdaGrid,
-    error_variance,
     fit_penalized,
     gcv_score,
     minimize_gcv_lambda,
-    residual_df,
-    smoother_matrix,
 )
 from .timeseries import TimeSeries, read_timeseries, write_timeseries
 
@@ -60,6 +58,7 @@ __all__ = [
     "AlpsError",
     "AlpsModel",
     "BasisMatrix",
+    "FitConfig",
     "FitResult",
     "FusionInput",
     "FusionResult",
@@ -77,7 +76,6 @@ __all__ = [
     "cross_series_table",
     "detect_and_refit",
     "difference_matrix",
-    "error_variance",
     "eval_basis",
     "eval_basis_derivative",
     "fit",
@@ -94,9 +92,7 @@ __all__ = [
     "predict_derivative",
     "read_timeseries",
     "reconstruct",
-    "residual_df",
     "save_model",
-    "smoother_matrix",
     "windowed_linear",
     "write_timeseries",
 ]

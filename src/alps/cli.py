@@ -10,52 +10,16 @@ import csv
 import functools
 import logging
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import baselines, core, fusion, outliers, synth
+from .basis import PLACEMENTS
 from .errors import AlpsError, ConfigError, ParseError, exit_code_for
 from .solver import LambdaGrid
 from .timeseries import FLOAT_FMT, TimeSeries, read_timeseries, write_timeseries
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs shared by the fitting subcommands."""
-
-    p: int = 4
-    q: int = 2
-    placement: str = "quantile"
-    alpha: float = 0.05
-    lambda_lo: float = 1e-4
-    lambda_hi: float = 1e4
-    lambda_num: int = 41
-    m_scan: str = "exhaustive"
-    threshold1: float = 3.0
-    threshold2: float = 1.2
-
-    def validate(self) -> "RunConfig":
-        if not 2 <= self.p <= 4:
-            raise ConfigError(f"p must be in [2, 4], got {self.p}")
-        if not 1 <= self.q < self.p:
-            raise ConfigError(f"q must satisfy 1 <= q < p, got q={self.q}, p={self.p}")
-        if self.placement not in ("quantile", "equidistant"):
-            raise ConfigError(f"unknown placement {self.placement!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not (0 < self.lambda_lo <= self.lambda_hi) or self.lambda_num < 1:
-            raise ConfigError("lambda grid needs 0 < lo <= hi and at least one point")
-        if self.m_scan not in ("exhaustive", "strided"):
-            raise ConfigError(f"m_scan must be 'exhaustive' or 'strided', got {self.m_scan!r}")
-        if self.threshold1 <= 0 or self.threshold2 <= 0:
-            raise ConfigError("outlier thresholds must be positive")
-        return self
-
-    def lambda_grid(self) -> LambdaGrid:
-        return LambdaGrid(self.lambda_lo, self.lambda_hi, self.lambda_num)
 
 
 def _error_line(exc: AlpsError) -> str:
@@ -75,19 +39,31 @@ def _handle_errors(fn):
     return wrapper
 
 
+_DEFAULT = core.FitConfig()
+
+
 def _fit_options(fn):
-    fn = click.option("--p", type=int, default=4, show_default=True,
+    fn = click.option("--p", type=int, default=_DEFAULT.p, show_default=True,
                       help="Basis degree (2-4).")(fn)
-    fn = click.option("--q", type=int, default=2, show_default=True,
+    fn = click.option("--q", type=int, default=_DEFAULT.q, show_default=True,
                       help="Penalty order (< p).")(fn)
-    fn = click.option("--placement", type=click.Choice(["quantile", "equidistant"]),
-                      default="quantile", show_default=True)(fn)
-    fn = click.option("--lambda-lo", type=float, default=1e-4, show_default=True)(fn)
-    fn = click.option("--lambda-hi", type=float, default=1e4, show_default=True)(fn)
-    fn = click.option("--lambda-num", type=int, default=41, show_default=True)(fn)
-    fn = click.option("--m-scan", type=click.Choice(["exhaustive", "strided"]),
-                      default="exhaustive", show_default=True)(fn)
+    fn = click.option("--placement", type=click.Choice(PLACEMENTS),
+                      default=_DEFAULT.placement, show_default=True)(fn)
+    fn = click.option("--lambda-lo", type=float, default=_DEFAULT.lambda_grid.lo,
+                      show_default=True)(fn)
+    fn = click.option("--lambda-hi", type=float, default=_DEFAULT.lambda_grid.hi,
+                      show_default=True)(fn)
+    fn = click.option("--lambda-num", type=int, default=_DEFAULT.lambda_grid.num,
+                      show_default=True)(fn)
+    fn = click.option("--m-scan", type=click.Choice(core.M_SCANS),
+                      default=_DEFAULT.m_scan, show_default=True)(fn)
     return fn
+
+
+def _fit_config(p, q, placement, lambda_lo, lambda_hi, lambda_num, m_scan) -> core.FitConfig:
+    """The FitConfig of the ``_fit_options`` flags."""
+    grid = LambdaGrid(lambda_lo, lambda_hi, lambda_num)
+    return core.FitConfig(p, q, placement, grid, m_scan)
 
 
 def _write_band(path, band: core.PredictionBand) -> None:
@@ -102,7 +78,7 @@ def _write_band(path, band: core.PredictionBand) -> None:
 def _report_lines(model: core.AlpsModel) -> list[str]:
     meta = model.fit_metadata
     return [
-        f"m_hat={meta.m_hat}",
+        f"m_hat={model.m_hat}",
         f"lambda_hat={FLOAT_FMT.format(model.lambda_hat)}",
         f"gcv_cost={FLOAT_FMT.format(meta.gcv_cost)}",
         f"df_res={FLOAT_FMT.format(model.df_res)}",
@@ -128,26 +104,23 @@ def main(verbose: bool):
 @click.option("--out-dir", type=click.Path(), default=None,
               help="Output directory for batch mode.")
 @_handle_errors
-def fit_cmd(data, p, q, placement, lambda_lo, lambda_hi, lambda_num, m_scan,
-            model_out, batch, out_dir):
+def fit_cmd(data, model_out, batch, out_dir, **fit_flags):
     """Fit one series (or a directory of them) and write the model(s)."""
-    cfg = RunConfig(p=p, q=q, placement=placement, lambda_lo=lambda_lo,
-                    lambda_hi=lambda_hi, lambda_num=lambda_num, m_scan=m_scan).validate()
+    config = _fit_config(**fit_flags)
     if batch:
         if out_dir is None:
             raise ConfigError("--batch requires --out-dir")
-        _run_batch_fit(Path(data), Path(out_dir), cfg)
+        _run_batch_fit(Path(data), Path(out_dir), config)
         return
     series = read_timeseries(data)
-    model = core.fit(series, p=cfg.p, q=cfg.q, placement=cfg.placement,
-                     lambda_grid=cfg.lambda_grid(), m_scan=cfg.m_scan)
+    model = core.fit(series, config)
     if model_out:
         core.save_model(model, model_out)
     for line in _report_lines(model):
         click.echo(line)
 
 
-def _run_batch_fit(data_dir: Path, out_dir: Path, cfg: RunConfig) -> None:
+def _run_batch_fit(data_dir: Path, out_dir: Path, config: core.FitConfig) -> None:
     if not data_dir.is_dir():
         raise ConfigError(f"{data_dir} is not a directory")
     files = sorted(data_dir.glob("*.csv"))
@@ -160,8 +133,7 @@ def _run_batch_fit(data_dir: Path, out_dir: Path, cfg: RunConfig) -> None:
     for path in files:
         try:
             series = read_timeseries(path)
-            model = core.fit(series, p=cfg.p, q=cfg.q, placement=cfg.placement,
-                             lambda_grid=cfg.lambda_grid(), m_scan=cfg.m_scan)
+            model = core.fit(series, config)
             core.save_model(model, out_dir / (path.stem + ".model.json"))
         except AlpsError as exc:
             click.echo(f"{path.name}: {_error_line(exc)}", err=True)
@@ -196,8 +168,6 @@ def _prediction_epochs(model: core.AlpsModel, grid: int | None, at: str | None) 
 @_handle_errors
 def predict_cmd(model_path, grid, at, alpha, out, derivative_out):
     """Evaluate a saved model: mean and derivative bands as CSV."""
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     model = core.load_model(model_path)
     epochs = _prediction_epochs(model, grid, at)
     _write_band(out, core.predict(model, epochs, alpha=alpha))
@@ -216,17 +186,11 @@ def predict_cmd(model_path, grid, at, alpha, out, derivative_out):
 @click.option("--clean-out", type=click.Path(), default=None,
               help="CSV of the doubly cleaned series.")
 @_handle_errors
-def outliers_cmd(data, p, q, placement, lambda_lo, lambda_hi, lambda_num, m_scan,
-                 threshold1, threshold2, flags_out, model_out, clean_out):
+def outliers_cmd(data, threshold1, threshold2, flags_out, model_out, clean_out, **fit_flags):
     """Two-level outlier detection; writes flags and the cleaned fit."""
-    cfg = RunConfig(p=p, q=q, placement=placement, lambda_lo=lambda_lo,
-                    lambda_hi=lambda_hi, lambda_num=lambda_num, m_scan=m_scan,
-                    threshold1=threshold1, threshold2=threshold2).validate()
+    config = _fit_config(**fit_flags)
     series = read_timeseries(data)
-    report = outliers.detect_and_refit(
-        series, p=cfg.p, q=cfg.q, threshold1=cfg.threshold1, threshold2=cfg.threshold2,
-        placement=cfg.placement, lambda_grid=cfg.lambda_grid(), m_scan=cfg.m_scan,
-    )
+    report = outliers.detect_and_refit(series, config, threshold1, threshold2)
     with open(flags_out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "time", "value", "level"])
@@ -247,19 +211,18 @@ def outliers_cmd(data, p, q, placement, lambda_lo, lambda_hi, lambda_num, m_scan
 @main.command("fuse")
 @click.argument("observations", type=click.Path())
 @click.argument("dense_model", type=click.Path())
-@click.option("--p", type=int, default=4, show_default=True)
-@click.option("--q", type=int, default=2, show_default=True)
+@click.option("--p", type=int, default=_DEFAULT.p, show_default=True)
+@click.option("--q", type=int, default=_DEFAULT.q, show_default=True)
 @click.option("--alpha", type=float, default=0.05, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 @_handle_errors
 def fuse_cmd(observations, dense_model, p, q, alpha, out):
     """Reconstruct a dense record from sparse observations plus a dense
     companion series."""
-    cfg = RunConfig(p=p, q=q, alpha=alpha).validate()
-    obs = read_timeseries(observations, kind="elevation")
-    dense = read_timeseries(dense_model, kind="elevation")
-    result = fusion.reconstruct(fusion.FusionInput(obs, dense),
-                                p=cfg.p, q=cfg.q, alpha=cfg.alpha)
+    config = core.FitConfig(p=p, q=q)
+    obs = read_timeseries(observations)
+    dense = read_timeseries(dense_model)
+    result = fusion.reconstruct(fusion.FusionInput(obs, dense), config, alpha=alpha)
     _write_band(out, result.reconstruction)
     model = result.dibc_model
     click.echo(f"m_hat={model.m_hat} lambda_hat={FLOAT_FMT.format(model.lambda_hat)}")
@@ -279,12 +242,10 @@ def _rmse(a: np.ndarray, b: np.ndarray) -> float:
               help="CSV of noise-free truth for RMSE columns.")
 @click.option("--out", type=click.Path(), required=True)
 @_handle_errors
-def compare_cmd(data, p, q, placement, lambda_lo, lambda_hi, lambda_num, m_scan,
-                degrees, truth, out):
+def compare_cmd(data, degrees, truth, out, **fit_flags):
     """Head-to-head table: spline fit vs polynomial and interpolation
     baselines, with RMSE-vs-truth when a truth file is supplied."""
-    cfg = RunConfig(p=p, q=q, placement=placement, lambda_lo=lambda_lo,
-                    lambda_hi=lambda_hi, lambda_num=lambda_num, m_scan=m_scan).validate()
+    config = _fit_config(**fit_flags)
     try:
         degree_list = [int(d) for d in degrees.split(",") if d.strip()]
     except ValueError as exc:
@@ -296,8 +257,7 @@ def compare_cmd(data, p, q, placement, lambda_lo, lambda_hi, lambda_num, m_scan,
         keep = (truth_series.times >= lo) & (truth_series.times <= hi)
         truth_series = truth_series.subset(keep)
 
-    model = core.fit(series, p=cfg.p, q=cfg.q, placement=cfg.placement,
-                     lambda_grid=cfg.lambda_grid(), m_scan=cfg.m_scan)
+    model = core.fit(series, config)
     predictors = {"alps": lambda t: core.predict(model, t).mean}
     for d in degree_list:
         poly = baselines.fit_polynomial(series, d)

@@ -20,7 +20,7 @@ import scipy.linalg
 import scipy.special
 
 from ._blas import blas_threads_for
-from .basis import KnotVector, build_knot_vector, eval_basis, eval_basis_derivative
+from .basis import PLACEMENTS, KnotVector, build_knot_vector, eval_basis, eval_basis_derivative
 from .errors import (
     AlpsError,
     ConfigError,
@@ -32,7 +32,6 @@ from .errors import (
 )
 from .penalty import penalty_matrix
 from .solver import (
-    DEFAULT_LAMBDA_GRID,
     LambdaGrid,
     _cost_zero_floor,
     best_columns,
@@ -47,10 +46,40 @@ MODEL_VERSION = 1
 # Strided scan kicks in above this size when requested.
 STRIDE_THRESHOLD = 500
 
+M_SCANS = ("exhaustive", "strided")
+
+
+@dataclass(frozen=True)
+class FitConfig:
+    """Every hyperparameter of one fit: basis degree ``p``, penalty order
+    ``q``, knot placement, lambda grid and section-count scan. Validated on
+    construction.
+
+    ``m_scan='strided'`` replaces the exhaustive section-count scan with a
+    stride-then-refine pass for series longer than 500 points.
+    """
+
+    p: int = 4
+    q: int = 2
+    placement: str = "quantile"
+    lambda_grid: LambdaGrid = LambdaGrid()
+    m_scan: str = "exhaustive"
+
+    def __post_init__(self):
+        if not 2 <= self.p <= 4:
+            raise ConfigError(f"degree p must be in [2, 4], got {self.p}")
+        if not 1 <= self.q < self.p:
+            raise ConfigError(
+                f"penalty order q must satisfy 1 <= q < p, got q={self.q}, p={self.p}"
+            )
+        if self.placement not in PLACEMENTS:
+            raise ConfigError(f"unknown knot placement {self.placement!r}")
+        if self.m_scan not in M_SCANS:
+            raise ConfigError(f"m_scan must be 'exhaustive' or 'strided', got {self.m_scan!r}")
+
 
 @dataclass(frozen=True)
 class FitMetadata:
-    m_hat: int
     gcv_cost: float
     placement: str
     n: int
@@ -102,31 +131,9 @@ class PredictionBand:
         return self.mean + self.half_width
 
 
-def _validate_hyperparameters(p: int, q: int, placement: str) -> None:
-    if not 2 <= p <= 4:
-        raise ConfigError(f"degree p must be in [2, 4], got {p}")
-    if not 1 <= q < p:
-        raise ConfigError(f"penalty order q must satisfy 1 <= q < p, got q={q}, p={p}")
-    if placement not in ("quantile", "equidistant"):
-        raise ConfigError(f"unknown knot placement {placement!r}")
-
-
-def fit(
-    data: TimeSeries,
-    p: int = 4,
-    q: int = 2,
-    placement: str = "quantile",
-    lambda_grid: LambdaGrid = DEFAULT_LAMBDA_GRID,
-    m_scan: str = "exhaustive",
-) -> AlpsModel:
-    """Fit a penalized spline with GCV-selected section count and lambda.
-
-    ``m_scan='strided'`` replaces the exhaustive section-count scan with a
-    stride-then-refine pass for series longer than 500 points.
-    """
-    _validate_hyperparameters(p, q, placement)
-    if m_scan not in ("exhaustive", "strided"):
-        raise ConfigError(f"m_scan must be 'exhaustive' or 'strided', got {m_scan!r}")
+def fit(data: TimeSeries, config: FitConfig = FitConfig()) -> AlpsModel:
+    """Fit a penalized spline with GCV-selected section count and lambda."""
+    p, q, placement = config.p, config.q, config.placement
     n = len(data)
     if n < p + 2:
         raise InsufficientDataError(f"need at least p + 2 = {p + 2} samples, got {n}")
@@ -142,11 +149,11 @@ def fit(
             except DegenerateKnotsError:
                 pass
         designs = (eval_basis(kv, times) for kv in knots.values())
-        lam, cost = minimize_gcv_lambda(designs, y, q, lambda_grid)
+        lam, cost = minimize_gcv_lambda(designs, y, q, config.lambda_grid)
         found = dict(zip(knots, zip(lam.tolist(), cost.tolist())))
         return [(m, *found.get(m, (float("nan"), float("inf")))) for m in ms]
 
-    if m_scan == "strided" and n > STRIDE_THRESHOLD:
+    if config.m_scan == "strided" and n > STRIDE_THRESHOLD:
         stride = math.ceil(n / 100)
         rows = scan(range(1, n, stride))
         best_m = _select(rows, floor)[0]
@@ -168,7 +175,7 @@ def fit(
     spec = penalty_matrix(q, kv.n_bases, lambda_hat)
     result = fit_penalized(B, y, spec)
     meta = FitMetadata(
-        m_hat=m_hat, gcv_cost=cost, placement=placement, n=n,
+        gcv_cost=cost, placement=placement, n=n,
         scan=tuple(rows), ridged=result.ridged,
     )
     return AlpsModel(
@@ -187,15 +194,26 @@ def _select(rows, floor):
     return best
 
 
-def _band(model: AlpsModel, basis, alpha: float) -> PredictionBand:
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
+def _mean_and_quad(model: AlpsModel, basis):
+    """Fitted values on ``basis`` and, per row b, the fit-variance quadratic
+    form b' A^{-1} b (A the normal matrix), clipped at 0."""
     with blas_threads_for(model.knot_vector.n_bases):
         mean = basis.values @ model.theta
         X = scipy.linalg.cho_solve(model.normal_factorization, basis.values.T)
         quad = np.einsum("ij,ji->i", basis.values, X)
-    std = math.sqrt(max(model.sigma2, 0.0)) * np.sqrt(np.clip(quad, 0.0, None))
-    tq = float(scipy.special.stdtrit(model.df_res, 1.0 - alpha / 2.0))
+    return mean, np.clip(quad, 0.0, None)
+
+
+def _t_quantile(model: AlpsModel, alpha: float) -> float:
+    return float(scipy.special.stdtrit(model.df_res, 1.0 - alpha / 2.0))
+
+
+def _band(model: AlpsModel, basis, alpha: float) -> PredictionBand:
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
+    mean, quad = _mean_and_quad(model, basis)
+    std = math.sqrt(max(model.sigma2, 0.0)) * np.sqrt(quad)
+    tq = _t_quantile(model, alpha)
     return PredictionBand(
         epochs=basis.epochs, mean=mean, std=std, half_width=tq * std, alpha=alpha
     )
@@ -260,7 +278,7 @@ def model_from_dict(doc: dict) -> AlpsModel:
         if not (finite and sigma2 >= 0 and df_res > 0 and kv.domain[0] < kv.domain[1]):
             raise ParseError(f"NaN or zero-width bands: {sigma2=}, {df_res=}, {kv.domain=}")
         meta = FitMetadata(
-            m_hat=m, gcv_cost=float(doc["gcv_cost"]), placement=doc["placement"],
+            gcv_cost=float(doc["gcv_cost"]), placement=doc["placement"],
             n=int(doc["n"]), scan=(), ridged=bool(doc.get("ridged", False)),
         )
         return AlpsModel(

@@ -58,17 +58,17 @@ def compute_difference(inp: FusionInput) -> TimeSeries:
     aligned = align_dense_model(inp)
     obs = inp.observations
     dense_at_obs = np.interp(obs.times, aligned.times, aligned.values)
-    return TimeSeries(obs.times, obs.values - dense_at_obs, obs.sigma, "generic")
+    return TimeSeries(obs.times, obs.values - dense_at_obs, obs.sigma)
 
 
 def reconstruct(
-    inp: FusionInput, p: int = 4, q: int = 2, alpha: float = 0.05
+    inp: FusionInput, config: core.FitConfig = core.FitConfig(), alpha: float = 0.05
 ) -> FusionResult:
     """High-resolution reconstruction: aligned dense series plus the fitted
     slow component, evaluated at every dense epoch inside the observation
     span."""
     diff = compute_difference(inp)
-    dibc_model = core.fit(diff, p=p, q=q)
+    dibc_model = core.fit(diff, config)
     aligned = align_dense_model(inp)
     lo, hi = dibc_model.domain
     mask = (aligned.times >= lo) & (aligned.times <= hi)

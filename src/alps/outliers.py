@@ -20,14 +20,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.special
 
 from . import core
-from ._blas import blas_threads_for
 from .basis import eval_basis
 from .errors import ConfigError, InsufficientDataAfterRejectionError
-from .solver import DEFAULT_LAMBDA_GRID, LambdaGrid
 from .timeseries import TimeSeries
 
 
@@ -40,50 +36,35 @@ class OutlierReport:
     clean_data: TimeSeries
 
 
-def prediction_band_width(model: core.AlpsModel, epochs, alpha: float = 0.01) -> np.ndarray:
-    """Half-width of the 100(1-alpha)% band for a new observation:
-    t-quantile times sigma_hat * sqrt(1 + fit variance term)."""
-    basis = eval_basis(model.knot_vector, epochs)
-    with blas_threads_for(model.knot_vector.n_bases):
-        X = scipy.linalg.cho_solve(model.normal_factorization, basis.values.T)
-        quad = np.clip(np.einsum("ij,ji->i", basis.values, X), 0.0, None)
-    sigma = math.sqrt(max(model.sigma2, 0.0))
-    tq = float(scipy.special.stdtrit(model.df_res, 1.0 - alpha / 2.0))
-    return tq * sigma * np.sqrt(1.0 + quad)
-
-
 def _flag(model: core.AlpsModel, series: TimeSeries, threshold: float) -> np.ndarray:
-    mean = core.predict(model, series.times, alpha=0.01).mean
+    mean, quad = core._mean_and_quad(model, eval_basis(model.knot_vector, series.times))
     resid = np.abs(series.values - mean)
-    width = prediction_band_width(model, series.times, alpha=0.01)
+    # Half-width of the 99% band for a new observation.
+    sigma = math.sqrt(max(model.sigma2, 0.0))
+    width = core._t_quantile(model, 0.01) * sigma * np.sqrt(1.0 + quad)
     # Guard against flagging pure floating-point noise when the fit is an
     # exact reproduction (band widths collapse to ~0 along with residuals).
     scale = 1e-12 * max(float(np.max(np.abs(series.values))), 1.0)
     return resid > np.maximum(threshold * width, scale)
 
 
-def _fit_stage(series: TimeSeries, p, q, placement, lambda_grid,
-               flagged, stage: str, m_scan: str = "exhaustive") -> core.AlpsModel:
+def _fit_stage(series: TimeSeries, config: core.FitConfig, flagged,
+               stage: str) -> core.AlpsModel:
     """Fit one pass, or fail with the flags accumulated so far."""
-    if len(series) < p + 2:
+    if len(series) < config.p + 2:
         raise InsufficientDataAfterRejectionError(
-            f"{stage}: only {len(series)} points remain (need {p + 2}); "
+            f"{stage}: only {len(series)} points remain (need {config.p + 2}); "
             f"flagged so far: {sorted(int(i) for i in flagged)}",
             flagged_so_far=tuple(int(i) for i in flagged),
         )
-    return core.fit(series, p=p, q=q, placement=placement, lambda_grid=lambda_grid,
-                    m_scan=m_scan)
+    return core.fit(series, config)
 
 
 def detect_and_refit(
     data: TimeSeries,
-    p: int = 4,
-    q: int = 2,
+    config: core.FitConfig = core.FitConfig(),
     threshold1: float = 3.0,
     threshold2: float = 1.2,
-    placement: str = "quantile",
-    lambda_grid: LambdaGrid = DEFAULT_LAMBDA_GRID,
-    m_scan: str = "exhaustive",
 ) -> OutlierReport:
     """Run the two-pass rejection and return flags plus the cleaned fit."""
     if threshold1 <= 0 or threshold2 <= 0:
@@ -91,20 +72,19 @@ def detect_and_refit(
     n = len(data)
     indices = np.arange(n)
 
-    model1 = core.fit(data, p=p, q=q, placement=placement, lambda_grid=lambda_grid,
-                      m_scan=m_scan)
+    model1 = core.fit(data, config)
     level1_mask = _flag(model1, data, threshold1)
     level1 = indices[level1_mask]
 
     survivors = data.subset(~level1_mask)
     survivor_idx = indices[~level1_mask]
-    model2 = _fit_stage(survivors, p, q, placement, lambda_grid, level1, "level 2", m_scan)
+    model2 = _fit_stage(survivors, config, level1, "level 2")
     level2_mask = _flag(model2, survivors, threshold2)
     level2 = survivor_idx[level2_mask]
 
     clean = survivors.subset(~level2_mask)
     flagged_all = np.concatenate((level1, level2))
-    final = _fit_stage(clean, p, q, placement, lambda_grid, flagged_all, "final fit", m_scan)
+    final = _fit_stage(clean, config, flagged_all, "final fit")
     return OutlierReport(
         level1_indices=tuple(int(i) for i in level1),
         level2_indices=tuple(int(i) for i in level2),

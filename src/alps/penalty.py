@@ -16,7 +16,6 @@ class PenaltySpec:
     q: int
     lam: float
     c: int
-    D: np.ndarray
     P: np.ndarray
 
 
@@ -36,4 +35,4 @@ def penalty_matrix(q: int, c: int, lam: float) -> PenaltySpec:
     if lam < 0:
         raise InvalidInputError(f"smoothing parameter must be >= 0, got {lam}")
     D = difference_matrix(q, c)
-    return PenaltySpec(q=q, lam=float(lam), c=c, D=D, P=lam * (D.T @ D))
+    return PenaltySpec(q=q, lam=float(lam), c=c, P=lam * (D.T @ D))

@@ -1,5 +1,5 @@
-"""Penalized least squares, the smoother matrix, GCV scoring, and the
-smoothing-parameter search.
+"""Penalized least squares, GCV scoring, and the smoothing-parameter
+search.
 
 The normal matrix ``A = B'B + P`` is always handled through a symmetric
 positive-definite factorization, never an explicit inverse. The lambda
@@ -25,7 +25,6 @@ import scipy.linalg
 from ._blas import blas_threads_for
 from .basis import BasisMatrix
 from .errors import (
-    DegenerateVarianceError,
     InvalidInputError,
     NoValidLambdaError,
     RankDeficiencyError,
@@ -56,8 +55,6 @@ class LambdaGrid:
             raise InvalidInputError("lambda grid needs 0 < lo <= hi and num >= 1")
 
     def points(self) -> np.ndarray:
-        if self.num == 1:
-            return np.array([self.lo])
         return np.geomspace(self.lo, self.hi, self.num)
 
 
@@ -155,39 +152,11 @@ def fit_penalized(B, y, P: PenaltySpec) -> FitResult:
     )
 
 
-def smoother_matrix(B, P: PenaltySpec) -> np.ndarray:
-    """n x n matrix H mapping observations to fitted values."""
-    Bv = _design(B)
-    _check_support(Bv, P)
-    with blas_threads_for(Bv.shape[1]):
-        A = Bv.T @ Bv + P.P
-        cho, _ = _factorize(A)
-        return Bv @ scipy.linalg.cho_solve(cho, Bv.T)
-
-
 def gcv_score(B, y, P: PenaltySpec) -> float:
     """Sum of squared residuals, each normalized by (1 - tr(H)/n); +inf when
     that denominator falls below the degeneracy floor."""
     result = fit_penalized(B, y, P)
     return float(_gcv_cost(result.residual_ss, result.tr_h, _design(B).shape[0]))
-
-
-def residual_df(H: np.ndarray) -> float:
-    """n - 2 tr(H) + tr(H H') for a square smoother matrix."""
-    H = np.asarray(H, dtype=float)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise InvalidInputError("H must be square")
-    n = H.shape[0]
-    return float(n - 2.0 * np.trace(H) + np.sum(H * H))
-
-
-def error_variance(y, B, theta, df_res: float) -> float:
-    """Unbiased residual variance ||y - B theta||^2 / df_res."""
-    if df_res <= 0:
-        raise DegenerateVarianceError(f"df_res must be positive, got {df_res}")
-    Bv = _design(B)
-    resid = np.asarray(y, dtype=float) - Bv @ np.asarray(theta, dtype=float)
-    return float(resid @ resid) / df_res
 
 
 def _gcv_cost(rss, tr_h, n):

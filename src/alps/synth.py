@@ -74,8 +74,8 @@ def fusion_suite(
     obs_y = truth_at_obs + rng.normal(0.0, noise_sd, n_obs)
 
     return FusionSuite(
-        observations=TimeSeries(obs_t, obs_y, kind="elevation"),
-        dense_model=TimeSeries(dense_t, h_s, kind="elevation"),
+        observations=TimeSeries(obs_t, obs_y),
+        dense_model=TimeSeries(dense_t, h_s),
         truth_total=h_s + slow_component(dense_t),
         truth_slow=slow_component(dense_t),
     )

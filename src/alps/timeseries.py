@@ -16,8 +16,6 @@ from .errors import InvalidInputError, ParseError
 
 log = logging.getLogger(__name__)
 
-KINDS = ("elevation", "thickness", "velocity", "terminus", "generic")
-
 # 17 significant digits round-trips IEEE float64 exactly.
 FLOAT_FMT = "{:.17g}"
 
@@ -32,7 +30,6 @@ class TimeSeries:
     times: np.ndarray
     values: np.ndarray
     sigma: np.ndarray | None = None
-    kind: str = "generic"
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -43,8 +40,6 @@ class TimeSeries:
             raise InvalidInputError("time series must contain at least one sample")
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
             raise InvalidInputError("times and values must be finite")
-        if self.kind not in KINDS:
-            raise InvalidInputError(f"unknown series kind {self.kind!r}")
         sigma = self.sigma
         if sigma is not None:
             sigma = np.asarray(sigma, dtype=float)
@@ -64,13 +59,13 @@ class TimeSeries:
 
     def subset(self, mask: np.ndarray) -> "TimeSeries":
         sigma = None if self.sigma is None else self.sigma[mask]
-        return TimeSeries(self.times[mask], self.values[mask], sigma, self.kind)
+        return TimeSeries(self.times[mask], self.values[mask], sigma)
 
     def with_values(self, values: np.ndarray) -> "TimeSeries":
-        return TimeSeries(self.times, values, self.sigma, self.kind)
+        return TimeSeries(self.times, values, self.sigma)
 
 
-def read_timeseries(path, kind: str = "generic") -> TimeSeries:
+def read_timeseries(path) -> TimeSeries:
     """Read a ``time,value[,sigma]`` CSV into a sorted TimeSeries.
 
     Raises ParseError with a 1-based line number on any malformed row.
@@ -112,7 +107,7 @@ def read_timeseries(path, kind: str = "generic") -> TimeSeries:
     try:
         series = TimeSeries(
             np.array(times), np.array(values),
-            np.array(sigmas) if has_sigma else None, kind,
+            np.array(sigmas) if has_sigma else None,
         )
     except InvalidInputError as exc:
         raise ParseError(f"{path}: {exc}") from exc
@@ -133,11 +128,3 @@ def write_timeseries(path, series: TimeSeries) -> None:
             for t, v in zip(series.times, series.values):
                 writer.writerow([FLOAT_FMT.format(t), FLOAT_FMT.format(v)])
 
-
-def write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write named float columns as CSV at full 17-digit precision."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([FLOAT_FMT.format(x) for x in row])

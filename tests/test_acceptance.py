@@ -76,7 +76,7 @@ def test_criterion_3_derivative_correctness():
             y = np.sin(2.0 * times) + 0.2 * times + rng.normal(0, 0.1, n)
             p = int(rng.choice([2, 3, 4]))
             q = int(rng.integers(1, p))
-            model = core.fit(TimeSeries(times, y), p=p, q=q)
+            model = core.fit(TimeSeries(times, y), core.FitConfig(p=p, q=q))
             lo, hi = model.domain
             span = hi - lo
             epochs = np.linspace(lo + 0.05 * span, hi - 0.05 * span, 50)

@@ -127,13 +127,11 @@ def design(series):
     lambda s, m, d: core.predict(m, s.times),
     lambda s, m, d: core.predict_derivative(m, s.times),
     lambda s, m, d: outliers.detect_and_refit(s),
-    lambda s, m, d: outliers.prediction_band_width(m, s.times),
     lambda s, m, d: fusion.reconstruct(fusion.FusionInput(
         fusion_suite(seed=0).observations, fusion_suite(seed=0).dense_model)),
     lambda s, m, d: solver.minimize_gcv_lambda(d[0], s.values, 2),
     lambda s, m, d: solver.fit_penalized(d[0], s.values, d[1]),
     lambda s, m, d: solver.gcv_score(d[0], s.values, d[1]),
-    lambda s, m, d: solver.smoother_matrix(*d),
 ])
 def test_counts_restored_after_return(call, series, model, design, two_threads):
     call(series, model, design)

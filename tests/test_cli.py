@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 import alps
 from alps import core
-from alps.cli import RunConfig, main
+from alps.cli import main
 from alps.errors import ConfigError
 from alps.timeseries import TimeSeries, read_timeseries, write_timeseries
 
@@ -38,19 +38,6 @@ def gl_data(tmp_path):
                  "--out", data, "--truth-out", truth)
     assert result.exit_code == 0, result.output
     return data, truth
-
-
-class TestRunConfig:
-    def test_validates_everything_up_front(self):
-        RunConfig().validate()
-        with pytest.raises(ConfigError):
-            RunConfig(q=4).validate()
-        with pytest.raises(ConfigError):
-            RunConfig(alpha=0.0).validate()
-        with pytest.raises(ConfigError):
-            RunConfig(lambda_lo=0.0).validate()
-        with pytest.raises(ConfigError):
-            RunConfig(threshold2=0.0).validate()
 
 
 class TestFitPredict:
@@ -96,6 +83,14 @@ class TestFitPredict:
         assert not model_path.exists()
         assert result.stderr.count("\n") == 1
         assert "error: ConfigError:" in result.stderr
+
+    def test_config_error_line_is_the_librarys(self, gl_data):
+        data, _ = gl_data
+        with pytest.raises(ConfigError) as err:
+            core.FitConfig(q=4)
+        result = run("fit", data, "--q", 4)
+        assert result.exit_code == 2
+        assert result.stderr == f"error: ConfigError: {err.value}\n"
 
     def test_missing_input_is_parse_error(self, tmp_path):
         result = run("fit", tmp_path / "nope.csv")
@@ -162,6 +157,21 @@ class TestFitPredict:
         assert errors[1].startswith("d.csv: error: ParseError: ")
         assert errors[2].startswith("e.csv: error: AlpsError: ")
 
+    def test_batch_rejects_a_bad_config_before_reading_a_file(self, tmp_path, monkeypatch):
+        batch_dir = tmp_path / "batch"
+        batch_dir.mkdir()
+        run("synth", "gramacy-lee", "--n", 40, "--out", batch_dir / "a.csv")
+        reads = []
+        monkeypatch.setattr("alps.cli.read_timeseries", reads.append)
+        with pytest.raises(ConfigError) as err:
+            core.FitConfig(q=4)
+        out_dir = tmp_path / "models"
+        result = run("fit", batch_dir, "--batch", "--out-dir", out_dir, "--q", 4)
+        assert result.exit_code == 2
+        assert result.stderr == f"error: ConfigError: {err.value}\n"
+        assert reads == []
+        assert not out_dir.exists()
+
     def test_batch_requires_out_dir(self, tmp_path):
         result = run("fit", tmp_path, "--batch")
         assert result.exit_code == 2
@@ -194,9 +204,9 @@ class TestOutliersCommand:
         write_timeseries(data, series)
         scans, fit = [], core.fit
 
-        def spy(*args, **kwargs):
-            scans.append(kwargs.get("m_scan"))
-            return fit(*args, **kwargs)
+        def spy(data, config):
+            scans.append(config.m_scan)
+            return fit(data, config)
 
         monkeypatch.setattr(core, "fit", spy)
         result = run("outliers", data, "--m-scan", "strided",

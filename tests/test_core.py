@@ -38,10 +38,10 @@ def noisy_model():
 
 class TestFit:
     def test_defaults_are_p4_q2(self):
-        sig = inspect.signature(core.fit)
-        assert sig.parameters["p"].default == 4
-        assert sig.parameters["q"].default == 2
-        assert sig.parameters["placement"].default == "quantile"
+        config = inspect.signature(core.fit).parameters["config"].default
+        assert config.p == 4
+        assert config.q == 2
+        assert config.placement == "quantile"
 
     def test_noiseless_linear_reproduced_minimal_sections(self, linear_series, linear_model):
         band = core.predict(linear_model, linear_series.times)
@@ -75,13 +75,13 @@ class TestFit:
         t = np.linspace(0, 1, 10)
         series = TimeSeries(t, np.sin(t))
         with pytest.raises(ConfigError):
-            core.fit(series, p=5)
+            core.fit(series, core.FitConfig(p=5))
         with pytest.raises(ConfigError):
-            core.fit(series, p=3, q=3)
+            core.fit(series, core.FitConfig(p=3, q=3))
         with pytest.raises(ConfigError):
-            core.fit(series, m_scan="fast")
+            core.fit(series, core.FitConfig(m_scan="fast"))
         with pytest.raises(InsufficientDataError):
-            core.fit(TimeSeries(t[:4], np.zeros(4)), p=4)
+            core.fit(TimeSeries(t[:4], np.zeros(4)), core.FitConfig(p=4))
 
     def test_every_scan_row_is_the_one_design_search(self, noisy_model):
         # The scan scores all section counts together; each row must be
@@ -99,7 +99,7 @@ class TestFit:
         u1 = np.nextafter(1.0, 2.0)
         t = np.sort(np.repeat([0.0, 1.0, u1, np.nextafter(u1, 2.0), 5.0], 4))
         y = np.cos(t) + np.tile([0.1, -0.1, 0.05, 0.0], 5)
-        model = core.fit(TimeSeries(t, y), p=2, q=1)
+        model = core.fit(TimeSeries(t, y), core.FitConfig(p=2, q=1))
         rows = model.fit_metadata.scan
         assert [m for m, lam, cost in rows if np.isnan(lam) and cost == np.inf] == \
             [10] + list(range(12, 20))
@@ -111,9 +111,24 @@ class TestFit:
         assert core._select([(1, 0.5, 2.0), (2, 0.1, 2.0 * (1 - 1e-13))], 0.0)[0] == 1
 
     def test_strided_flag_equals_exhaustive_below_threshold(self, linear_series):
-        a = core.fit(linear_series, m_scan="exhaustive")
-        b = core.fit(linear_series, m_scan="strided")
+        a = core.fit(linear_series, core.FitConfig(m_scan="exhaustive"))
+        b = core.fit(linear_series, core.FitConfig(m_scan="strided"))
         assert a.m_hat == b.m_hat and a.lambda_hat == b.lambda_hat
+
+
+class TestFitConfig:
+    def test_default(self):
+        config = core.FitConfig()
+        assert (config.p, config.q, config.placement, config.lambda_grid, config.m_scan) == \
+            (4, 2, "quantile", LambdaGrid(), "exhaustive")
+
+    @pytest.mark.parametrize("fields", [
+        {"p": 1}, {"p": 5}, {"q": 0}, {"q": 4}, {"p": 3, "q": 3},
+        {"placement": "uniform"}, {"m_scan": "fast"},
+    ])
+    def test_rules(self, fields):
+        with pytest.raises(ConfigError):
+            core.FitConfig(**fields)
 
 
 class TestPredict:

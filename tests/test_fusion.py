@@ -5,7 +5,7 @@ from alps import core, fusion
 from alps.basis import eval_basis
 from alps.errors import CoverageError, InvalidInputError, OutOfDomainError
 from alps.penalty import penalty_matrix
-from alps.solver import fit_penalized
+from alps.solver import LambdaGrid, fit_penalized
 from alps.synth import fusion_suite, seasonal_component, slow_component
 from alps.timeseries import TimeSeries
 
@@ -174,6 +174,21 @@ class TestReconstruct:
         np.testing.assert_allclose(
             result2.reconstruction.std, result.reconstruction.std, atol=1e-6
         )
+
+    def test_config_reaches_the_difference_fit(self, suite, monkeypatch):
+        config = core.FitConfig(placement="equidistant",
+                                lambda_grid=LambdaGrid(1e-3, 1e3, 21), m_scan="strided")
+        seen, fit = [], core.fit
+
+        def spy(data, config):
+            seen.append(config)
+            return fit(data, config)
+
+        monkeypatch.setattr(core, "fit", spy)
+        result = fusion.reconstruct(fusion.FusionInput(suite.observations, suite.dense_model),
+                                    config)
+        assert seen == [config]
+        assert result.dibc_model.fit_metadata.placement == "equidistant"
 
 
 class TestCrossSeriesTable:

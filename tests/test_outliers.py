@@ -5,7 +5,6 @@ import pytest
 
 from alps import core, outliers
 from alps.errors import ConfigError, InsufficientDataAfterRejectionError
-from alps.solver import DEFAULT_LAMBDA_GRID
 from alps.timeseries import TimeSeries
 
 
@@ -85,7 +84,7 @@ class TestDetectAndRefit:
         series = TimeSeries(t, np.sin(t))
         with pytest.raises(InsufficientDataAfterRejectionError) as err:
             outliers._fit_stage(
-                series.subset(np.arange(7) < 4), 4, 2, "quantile",
-                DEFAULT_LAMBDA_GRID, np.array([4, 5, 6]), "level 2",
+                series.subset(np.arange(7) < 4), core.FitConfig(),
+                np.array([4, 5, 6]), "level 2",
             )
         assert err.value.flagged_so_far == (4, 5, 6)

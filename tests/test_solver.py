@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from alps import solver
 from alps.basis import build_knot_vector, eval_basis
 from alps.errors import (
     DegenerateVarianceError,
@@ -15,14 +17,11 @@ from alps.solver import (
     GcvProfile,
     LambdaGrid,
     best_columns,
-    error_variance,
     fit_penalized,
     gcv_profile,
     gcv_score,
     minimize_gcv_lambda,
-    residual_df,
     search_lambda,
-    smoother_matrix,
 )
 from alps.synth import gramacy_lee
 
@@ -36,6 +35,32 @@ def uniform_design(n=40, m=8, p=3, lo=0.0, hi=1.0):
 def normal_equations_oracle(Bv, y, P):
     """Direct dense solve of (B'B + P) theta = B'y."""
     return np.linalg.solve(Bv.T @ Bv + P, Bv.T @ y)
+
+
+def smoother_matrix(B, P):
+    """n x n matrix H mapping observations to fitted values."""
+    Bv = solver._design(B)
+    solver._check_support(Bv, P)
+    cho, _ = solver._factorize(Bv.T @ Bv + P.P)
+    return Bv @ scipy.linalg.cho_solve(cho, Bv.T)
+
+
+def residual_df(H):
+    """n - 2 tr(H) + tr(H H') for a square smoother matrix."""
+    H = np.asarray(H, dtype=float)
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise InvalidInputError("H must be square")
+    n = H.shape[0]
+    return float(n - 2.0 * np.trace(H) + np.sum(H * H))
+
+
+def error_variance(y, B, theta, df_res):
+    """Unbiased residual variance ||y - B theta||^2 / df_res."""
+    if df_res <= 0:
+        raise DegenerateVarianceError(f"df_res must be positive, got {df_res}")
+    Bv = solver._design(B)
+    resid = np.asarray(y, dtype=float) - Bv @ np.asarray(theta, dtype=float)
+    return float(resid @ resid) / df_res
 
 
 class TestFitPenalized:

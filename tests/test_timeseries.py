@@ -22,8 +22,6 @@ class TestTimeSeries:
         with pytest.raises(InvalidInputError):
             TimeSeries(np.array([0.0]), np.array([1.0, 2.0]))
         with pytest.raises(InvalidInputError):
-            TimeSeries(np.array([0.0]), np.array([1.0]), kind="mystery")
-        with pytest.raises(InvalidInputError):
             TimeSeries(np.array([0.0, 1.0]), np.array([1.0, 2.0]), sigma=np.array([0.1]))
 
 
