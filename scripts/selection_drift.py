@@ -14,14 +14,18 @@ The inputs:
 - ``criterion/<seed>``: the criterion-5 series (Gramacy-Lee, n = 150,
   noise 0.05), seeds 0-89, through ``core.fit``; ``criterion/<seed>/m=n-1``
   is the lambda search on the m = n - 1 basis that criterion 5 judges;
+- ``degenerate/<seed>/k<k>/p<p>q<q>``: n = 12 points clustered on k = 1-4
+  distinct epochs, through ``core.fit`` for every p = 2-4 and q < p. Where
+  the fit raises, the entry is the exception's type name alone;
 - ``terminus/n1500``: one n = 1500 record (tanh step, trend, seasonal term,
   noise 0.2) through ``core.fit`` with ``FitConfig(m_scan="strided")``, with
   its time.
 
 The benchmark inputs come from ``perfbench/inputs.py``, imported read-only.
-``--quick`` records only seeds 1 and 0-9 and skips the long record. Only
-the long record needs ``FitConfig``, so a ``--quick`` record can also be
-taken of sources from before it existed.
+``--quick`` records only seeds 1, 0-9 and 0-2 and skips the long record.
+Only the degenerate group and the long record need ``FitConfig``.
+``--compare`` lists every input whose outcome changed between a model and
+an error (or between error types) before comparing the models.
 """
 
 import argparse
@@ -98,6 +102,26 @@ def criterion_inputs(out: dict, seeds) -> None:
         out[f"criterion/{seed}/m=n-1"] = [kv.m, lam, cost]
 
 
+def degenerate_inputs(out: dict, seeds) -> None:
+    from alps import core
+    from alps.errors import AlpsError
+    from alps.timeseries import TimeSeries
+
+    for seed in seeds:
+        rng = np.random.default_rng([seed, 8])
+        for k in (1, 2, 3, 4):
+            centres = np.sort(rng.uniform(2000.0, 2010.0, k))
+            t = np.sort(np.concatenate((centres, rng.choice(centres, 12 - k))))
+            series = TimeSeries(t, rng.normal(size=t.size))
+            for p in (2, 3, 4):
+                for q in range(1, p):
+                    try:
+                        entry = selected(core.fit(series, core.FitConfig(p=p, q=q)))
+                    except AlpsError as exc:
+                        entry = [type(exc).__name__]
+                    out[f"degenerate/{seed}/k{k}/p{p}q{q}"] = entry
+
+
 def terminus_record(n: int = 1500, seed: int = 1):
     from alps.timeseries import TimeSeries
 
@@ -115,6 +139,7 @@ def record(quick: bool) -> dict:
     out = {}
     benchmark_inputs(out, [1] if quick else range(1, 6))
     criterion_inputs(out, range(10) if quick else range(90))
+    degenerate_inputs(out, range(3) if quick else range(10))
     if not quick:
         started = time.perf_counter()
         model = core.fit(terminus_record(), core.FitConfig(m_scan="strided"))
@@ -123,8 +148,18 @@ def record(quick: bool) -> dict:
     return out
 
 
+def _outcome(entry) -> str:
+    # An entry of one element is the type name of the exception a fit raised.
+    return entry[0] if len(entry) == 1 else f"model m_hat={entry[0]}"
+
+
 def compare(a: dict, b: dict) -> None:
     keys = sorted(k for k in a.keys() & b.keys() if not k.endswith("/seconds"))
+    raised = [k for k in keys if len(a[k]) == 1 or len(b[k]) == 1]
+    changed = [k for k in raised if _outcome(a[k]) != _outcome(b[k])]
+    print(f"inputs where a fit raised: {len(raised)}; outcome changed: {len(changed)}"
+          + "".join(f"\n  {k}: {_outcome(a[k])} -> {_outcome(b[k])}" for k in changed))
+    keys = [k for k in keys if k not in raised]
     m_diff = [k for k in keys if a[k][0] != b[k][0]]
     same = [k for k in keys if a[k][0] == b[k][0]]
     finite = [k for k in same if math.isfinite(a[k][2]) and math.isfinite(b[k][2])]
@@ -135,7 +170,7 @@ def compare(a: dict, b: dict) -> None:
     dlog = max(((abs(math.log(b[k][1] / a[k][1])), k) for k in finite), default=(0.0, None))
     dcost = max(((abs(b[k][2] - a[k][2]) / max(abs(a[k][2]), 1e-300), k) for k in finite),
                 default=(0.0, None))
-    print(f"inputs compared: {len(keys)} (only in one record: "
+    print(f"models compared: {len(keys)} (only in one record: "
           f"{len(a.keys() ^ b.keys())})")
     print(f"m_hat mismatches: {len(m_diff)}" + "".join(
         f"\n  {k}: {a[k][0]} -> {b[k][0]}" for k in m_diff))

@@ -162,7 +162,7 @@ def _prediction_epochs(model: core.AlpsModel, grid: int | None, at: str | None) 
               help="Number of evenly spaced epochs over the model domain.")
 @click.option("--at", type=click.Path(), default=None,
               help="CSV whose time column gives the prediction epochs.")
-@click.option("--alpha", type=float, default=0.05, show_default=True)
+@click.option("--alpha", type=float, default=core.DEFAULT_ALPHA, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--derivative-out", type=click.Path(), default=None)
 @_handle_errors
@@ -178,8 +178,8 @@ def predict_cmd(model_path, grid, at, alpha, out, derivative_out):
 @main.command("outliers")
 @click.argument("data", type=click.Path())
 @_fit_options
-@click.option("--threshold1", type=float, default=3.0, show_default=True)
-@click.option("--threshold2", type=float, default=1.2, show_default=True)
+@click.option("--threshold1", type=float, default=outliers.DEFAULT_THRESHOLD1, show_default=True)
+@click.option("--threshold2", type=float, default=outliers.DEFAULT_THRESHOLD2, show_default=True)
 @click.option("--flags-out", type=click.Path(), required=True)
 @click.option("--model-out", type=click.Path(), default=None,
               help="Serialized cleaned-fit model.")
@@ -213,7 +213,7 @@ def outliers_cmd(data, threshold1, threshold2, flags_out, model_out, clean_out, 
 @click.argument("dense_model", type=click.Path())
 @click.option("--p", type=int, default=_DEFAULT.p, show_default=True)
 @click.option("--q", type=int, default=_DEFAULT.q, show_default=True)
-@click.option("--alpha", type=float, default=0.05, show_default=True)
+@click.option("--alpha", type=float, default=core.DEFAULT_ALPHA, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 @_handle_errors
 def fuse_cmd(observations, dense_model, p, q, alpha, out):

@@ -48,6 +48,8 @@ STRIDE_THRESHOLD = 500
 
 M_SCANS = ("exhaustive", "strided")
 
+DEFAULT_ALPHA = 0.05
+
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -138,6 +140,10 @@ def fit(data: TimeSeries, config: FitConfig = FitConfig()) -> AlpsModel:
     if n < p + 2:
         raise InsufficientDataError(f"need at least p + 2 = {p + 2} samples, got {n}")
     times, y = data.times, data.values
+    # Splines in D's null space have < q zeros, so B'B + D'D is definite from q epochs.
+    distinct = np.unique(times).size
+    if distinct < max(2, q):
+        raise InsufficientDataError(f"need max(2, q) = {max(2, q)} distinct epochs, got {distinct}")
     floor = _cost_zero_floor(y)
 
     def scan(ms):
@@ -186,12 +192,10 @@ def fit(data: TimeSeries, config: FitConfig = FitConfig()) -> AlpsModel:
 
 
 def _select(rows, floor):
-    """Least cost over rows sorted by m; ties keep the smaller m."""
+    """Least cost over rows sorted by m; ties keep the smaller m. With no
+    finite cost this is rows[0], which the search left at (m, nan, inf)."""
     ms, _, costs = zip(*rows)
-    best = rows[best_columns(np.array([costs]), np.array([ms], dtype=float), floor, -1)[0]]
-    if not np.isfinite(best[2]):
-        return rows[0][0], float("nan"), float("inf")
-    return best
+    return rows[best_columns(np.array([costs]), np.array([ms], dtype=float), floor, -1)[0]]
 
 
 def _mean_and_quad(model: AlpsModel, basis):
@@ -219,12 +223,12 @@ def _band(model: AlpsModel, basis, alpha: float) -> PredictionBand:
     )
 
 
-def predict(model: AlpsModel, epochs, alpha: float = 0.05) -> PredictionBand:
+def predict(model: AlpsModel, epochs, alpha: float = DEFAULT_ALPHA) -> PredictionBand:
     """Mean prediction with 100(1-alpha)% pointwise t-confidence bands."""
     return _band(model, eval_basis(model.knot_vector, epochs), alpha)
 
 
-def predict_derivative(model: AlpsModel, epochs, alpha: float = 0.05) -> PredictionBand:
+def predict_derivative(model: AlpsModel, epochs, alpha: float = DEFAULT_ALPHA) -> PredictionBand:
     """First derivative of the fitted curve with t-confidence bands."""
     return _band(model, eval_basis_derivative(model.knot_vector, epochs), alpha)
 

@@ -62,7 +62,7 @@ def compute_difference(inp: FusionInput) -> TimeSeries:
 
 
 def reconstruct(
-    inp: FusionInput, config: core.FitConfig = core.FitConfig(), alpha: float = 0.05
+    inp: FusionInput, config: core.FitConfig = core.FitConfig(), alpha: float = core.DEFAULT_ALPHA
 ) -> FusionResult:
     """High-resolution reconstruction: aligned dense series plus the fitted
     slow component, evaluated at every dense epoch inside the observation

@@ -23,8 +23,12 @@ import numpy as np
 
 from . import core
 from .basis import eval_basis
-from .errors import ConfigError, InsufficientDataAfterRejectionError
+from .errors import ConfigError, InsufficientDataAfterRejectionError, InsufficientDataError
 from .timeseries import TimeSeries
+
+# Level-1 and level-2 multiples of the 99% band beyond which a point is flagged.
+DEFAULT_THRESHOLD1 = 3.0
+DEFAULT_THRESHOLD2 = 1.2
 
 
 @dataclass(frozen=True)
@@ -51,20 +55,20 @@ def _flag(model: core.AlpsModel, series: TimeSeries, threshold: float) -> np.nda
 def _fit_stage(series: TimeSeries, config: core.FitConfig, flagged,
                stage: str) -> core.AlpsModel:
     """Fit one pass, or fail with the flags accumulated so far."""
-    if len(series) < config.p + 2:
+    try:
+        return core.fit(series, config)
+    except InsufficientDataError as exc:
+        flagged = tuple(int(i) for i in flagged)
         raise InsufficientDataAfterRejectionError(
-            f"{stage}: only {len(series)} points remain (need {config.p + 2}); "
-            f"flagged so far: {sorted(int(i) for i in flagged)}",
-            flagged_so_far=tuple(int(i) for i in flagged),
-        )
-    return core.fit(series, config)
+            f"{stage}: {exc}; flagged so far: {sorted(flagged)}", flagged_so_far=flagged,
+        ) from exc
 
 
 def detect_and_refit(
     data: TimeSeries,
     config: core.FitConfig = core.FitConfig(),
-    threshold1: float = 3.0,
-    threshold2: float = 1.2,
+    threshold1: float = DEFAULT_THRESHOLD1,
+    threshold2: float = DEFAULT_THRESHOLD2,
 ) -> OutlierReport:
     """Run the two-pass rejection and return flags plus the cleaned fit."""
     if threshold1 <= 0 or threshold2 <= 0:

@@ -5,8 +5,7 @@ The normal matrix ``A = B'B + P`` is always handled through a symmetric
 positive-definite factorization, never an explicit inverse. The lambda
 search runs in two phases. First each design's pencil ``(D'D, B'B + D'D)``
 is diagonalized once (``gcv_profile``), after which a GCV cost is O(c)
-arithmetic on the eigenvalues; a direct per-lambda Cholesky path serves
-pathological designs. Then ``search_lambda`` scores a whole stack of
+arithmetic on the eigenvalues. Then ``search_lambda`` scores a whole stack of
 profiles in lock-step as arrays: every grid point of every row, then the
 golden-section steps of all rows together. ``minimize_gcv_lambda`` runs
 both phases for one design or for a sequence of them.
@@ -14,7 +13,6 @@ both phases for one design or for a sequence of them.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -99,14 +97,6 @@ def _factorize(A: np.ndarray):
         ) from None
 
 
-def _normal_solve(Bv, y, G, A):
-    """For A = B'B + P: factor, ridge used, theta, rss, A^{-1} B'B (trace tr(H))."""
-    cho, ridged = _factorize(A)
-    theta = scipy.linalg.cho_solve(cho, Bv.T @ y)
-    resid = y - Bv @ theta
-    return cho, ridged, theta, float(resid @ resid), scipy.linalg.cho_solve(cho, G)
-
-
 def _check_support(Bv: np.ndarray, P: PenaltySpec) -> None:
     """A basis function with no data support and no penalty coupling makes
     the normal matrix exactly singular; name the offending index range."""
@@ -136,7 +126,11 @@ def fit_penalized(B, y, P: PenaltySpec) -> FitResult:
     _check_support(Bv, P)
     with blas_threads_for(c):
         G = Bv.T @ Bv
-        cho, ridged, theta, rss, M = _normal_solve(Bv, y, G, G + P.P)
+        cho, ridged = _factorize(G + P.P)
+        theta = scipy.linalg.cho_solve(cho, Bv.T @ y)
+        resid = y - Bv @ theta
+        rss = float(resid @ resid)
+        M = scipy.linalg.cho_solve(cho, G)  # A^{-1} B'B: its trace is tr(H)
         tr_h = float(np.trace(M))
         tr_hh = float(np.sum(M * M.T))
     df_res = n - 2.0 * tr_h + tr_hh
@@ -197,14 +191,14 @@ class GcvProfile(NamedTuple):
     sum g d and rss = r0 + sum(w e^2 - v d (1 + e)); w = z^2/g and v = 0
     off B'B's null space, w = 0 and v = z^2 on it, r0 = y'y - sum w. No
     lambda-dependent term cancels against y'y, so shifting y moves lambda
-    by rounding only. mu is None where the pencil is not definite, and
-    direct(lam) factorizes B'B + lam D'D for each cost."""
+    by rounding only. mu is None where the pencil is not definite (fewer
+    than q distinct epochs, which ``core.fit`` rejects): such a profile
+    scores +inf at every lambda."""
 
     mu: np.ndarray | None
     w: np.ndarray | None = None
     v: np.ndarray | None = None
     r0: float = 0.0
-    direct: object = None
 
 
 # Directions with g = 1 - mu at or below this count as B'B's null space: z
@@ -215,28 +209,16 @@ _NULL_G = 1e-12
 def gcv_profile(B, y, q: int) -> GcvProfile:
     """Diagonalize one design's pencil (in the caller's BLAS scope)."""
     Bv = _design(B)
-    c = Bv.shape[1]
-    if not 1 <= q < c:
-        raise InvalidInputError(f"penalty order must satisfy 1 <= q < c, got q={q}, c={c}")
-    D = difference_matrix(q, c)
+    D = difference_matrix(q, Bv.shape[1])
     K, G = D.T @ D, Bv.T @ Bv
     try:
         mu, W = scipy.linalg.eigh(K, G + K)
     except scipy.linalg.LinAlgError:
-        return GcvProfile(None, direct=functools.partial(_direct_cost, Bv, y, G, K))
+        return GcvProfile(None)
     mu = np.clip(mu, 0.0, 1.0)
     z2, null = (W.T @ (Bv.T @ y)) ** 2, mu >= 1.0 - _NULL_G
     w = np.where(null, 0.0, z2 / np.where(null, 1.0, 1.0 - mu))
     return GcvProfile(mu, w, np.where(null, z2, 0.0), float(y @ y) - math.fsum(w))
-
-
-def _direct_cost(Bv, y, G, K, lam: float) -> float:
-    with blas_threads_for(G.shape[0]):
-        try:
-            _, _, _, rss, M = _normal_solve(Bv, y, G, G + lam * K)
-        except RankDeficiencyError:
-            return float("inf")
-        return float(_gcv_cost(rss, np.trace(M), Bv.shape[0]))
 
 
 # Most padded entries (width x rows x lambdas) scored at once: 128 kB per
@@ -246,22 +228,23 @@ _BLOCK = 1 << 14
 
 def _scorer(profiles, n: int, k: int):
     """costs(lam): the cost of profile r at lam[r, j], for every r and each
-    of k columns j. Eigen profiles are scored in blocks of consecutive rows,
-    zero-padded to the block's widest. Sums run over the first axis of a
-    C-ordered array whose other axes hold at least the two sums, so NumPy
-    adds left to right and padding adds exact zeros last: no row depends on
-    its block, and no cost on k."""
+    of k columns j; +inf on rows whose pencil was not definite. The others
+    are scored in blocks of consecutive rows, zero-padded to the block's
+    widest. Sums run over the first axis of a C-ordered array whose other
+    axes hold at least the two sums, so NumPy adds left to right and
+    padding adds exact zeros last: no row depends on its block, and no cost
+    on k."""
     eigen = [r for r, pr in enumerate(profiles) if pr.mu is not None]
     widest = max((profiles[r].mu.size for r in eigen), default=1)
     per, blocks = max(1, _BLOCK // (widest * k)), []
     for rows in (eigen[i : i + per] for i in range(0, len(eigen), per)):
         padded = np.zeros((4, max(profiles[r].mu.size for r in rows), len(rows), 1))
-        for i, (mu, w, v, _, _) in enumerate(profiles[r] for r in rows):
+        for i, (mu, w, v, _) in enumerate(profiles[r] for r in rows):
             padded[:, : mu.size, i, 0] = mu, 1.0 - mu, w, v
         blocks.append((rows, padded, np.array([[profiles[r].r0] for r in rows])))
 
     def costs(lam: np.ndarray) -> np.ndarray:
-        out = np.empty(lam.shape)
+        out = np.full(lam.shape, np.inf)
         for rows, (mu, g, w, v), r0 in blocks:
             lam_b = lam[rows]
             d = 1.0 / (1.0 + (lam_b - 1.0) * mu)
@@ -269,9 +252,6 @@ def _scorer(profiles, n: int, k: int):
             terms = np.stack((g * d, w * e * e - v * d * (1.0 + e)), axis=1)
             tr_h, delta = np.add.reduce(terms, axis=0)
             out[rows] = _gcv_cost(r0 + delta, tr_h, n)
-        for r, pr in enumerate(profiles):
-            if pr.mu is None:
-                out[r] = [pr.direct(float(lam_k)) for lam_k in lam[r]]
         return out
 
     return costs

@@ -92,6 +92,15 @@ class TestFitPredict:
         assert result.exit_code == 2
         assert result.stderr == f"error: ConfigError: {err.value}\n"
 
+    def test_too_few_distinct_epochs_for_q_exits_2(self, tmp_path):
+        data = tmp_path / "two_epochs.csv"
+        t = np.repeat([2000.0, 2001.0], 8)
+        write_timeseries(data, TimeSeries(t, np.random.default_rng(0).normal(size=t.size)))
+        result = run("fit", data, "--q", 3)
+        assert result.exit_code == 2
+        assert result.stderr.count("\n") == 1
+        assert result.stderr.startswith("error: InsufficientDataError: ")
+
     def test_missing_input_is_parse_error(self, tmp_path):
         result = run("fit", tmp_path / "nope.csv")
         assert result.exit_code == 3

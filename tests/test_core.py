@@ -3,12 +3,19 @@ import inspect
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import assume, given, settings, strategies as st
 
 from alps import core
 from alps.basis import build_knot_vector, eval_basis
-from alps.errors import ConfigError, InsufficientDataError, OutOfDomainError, ParseError
+from alps.errors import (
+    ConfigError,
+    DegenerateKnotsError,
+    InsufficientDataError,
+    OutOfDomainError,
+    ParseError,
+)
 from alps.penalty import penalty_matrix
-from alps.solver import LambdaGrid, fit_penalized, minimize_gcv_lambda
+from alps.solver import LambdaGrid, fit_penalized, gcv_profile, minimize_gcv_lambda
 from alps.synth import gramacy_lee, gramacy_lee_series
 from alps.timeseries import TimeSeries
 
@@ -110,10 +117,54 @@ class TestFit:
                             0.0) == (3, 1.0, 1.0)
         assert core._select([(1, 0.5, 2.0), (2, 0.1, 2.0 * (1 - 1e-13))], 0.0)[0] == 1
 
+    @pytest.mark.parametrize("epochs, q", [([2000.0, 2001.0], 3), ([2000.0], 2), ([2000.0], 1)])
+    def test_fewer_distinct_epochs_than_max_2_q_is_insufficient_data(self, epochs, q):
+        # Repeats raise n past p + 2, but B'B + D'D is singular below q
+        # distinct epochs, and the domain needs two.
+        t = np.repeat(epochs, 16 // len(epochs))
+        y = np.random.default_rng(0).normal(size=t.size)
+        with pytest.raises(InsufficientDataError, match="distinct epochs"):
+            core.fit(TimeSeries(t, y), core.FitConfig(q=q))
+
     def test_strided_flag_equals_exhaustive_below_threshold(self, linear_series):
         a = core.fit(linear_series, core.FitConfig(m_scan="exhaustive"))
         b = core.fit(linear_series, core.FitConfig(m_scan="strided"))
         assert a.m_hat == b.m_hat and a.lambda_hat == b.lambda_hat
+
+
+@st.composite
+def clustered_fits(draw):
+    """Epochs clustered around k >= max(2, q) centres, with repeats and
+    jitter, then rescaled and offset; padded by repeats to n >= p + 2."""
+    p = draw(st.integers(2, 4))
+    q = draw(st.integers(1, p - 1))
+    k = draw(st.integers(max(2, q), 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centres = np.sort(rng.uniform(0.0, 1.0, k))
+    u = np.repeat(centres, rng.integers(1, 5, k))
+    u = np.concatenate((u, rng.choice(centres, max(0, p + 2 - u.size))))
+    u = u + draw(st.sampled_from([0.0, 1e-9, 1e-6, 1e-3])) * rng.normal(size=u.size)
+    scale = draw(st.sampled_from([1e-6, 1e-3, 1.0, 1e3]))
+    offset = draw(st.sampled_from([0.0, -50.0, 2000.0, 1e6]))
+    t = np.sort(offset + scale * u)
+    assume(np.unique(t).size >= max(2, q))
+    return t, rng.normal(size=t.size), core.FitConfig(p=p, q=q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(clustered_fits())
+def test_enough_distinct_epochs_give_definite_pencils_and_df_res_in_range(case):
+    # From max(2, q) distinct epochs on, every scan row's pencil is definite
+    # and the fit's residual degrees of freedom lie in (0, n].
+    t, y, config = case
+    for m in range(1, t.size):
+        try:
+            kv = build_knot_vector(t, m, config.p, config.placement)
+        except DegenerateKnotsError:
+            continue
+        assert gcv_profile(eval_basis(kv, t), y, config.q).mu is not None
+    model = core.fit(TimeSeries(t, y), config)
+    assert 0 < model.df_res <= t.size
 
 
 class TestFitConfig:

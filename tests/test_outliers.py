@@ -88,3 +88,15 @@ class TestDetectAndRefit:
                 np.array([4, 5, 6]), "level 2",
             )
         assert err.value.flagged_so_far == (4, 5, 6)
+
+    def test_rejection_that_leaves_too_few_distinct_epochs(self):
+        # Eight points survive, past p + 2, but on two epochs a q = 3 penalty
+        # leaves B'B + D'D singular: core.fit's rule fails the stage.
+        t = np.repeat([0.0, 0.5, 1.0], 4)
+        series = TimeSeries(t, np.sin(t))
+        with pytest.raises(InsufficientDataAfterRejectionError, match="distinct epochs") as err:
+            outliers._fit_stage(
+                series.subset(t < 1.0), core.FitConfig(q=3), np.array([8, 9, 10, 11]),
+                "final fit",
+            )
+        assert err.value.flagged_so_far == (8, 9, 10, 11)

@@ -393,19 +393,22 @@ class TestSearchLambda:
         lam, cost = search_lambda([gcv_profile(B, y, 2)], y, LambdaGrid().points())
         assert np.isnan(lam[0]) and cost[0] == np.inf
 
-    def test_rows_without_a_bracket_are_not_refined(self):
+    def test_rows_without_a_bracket_are_not_refined(self, monkeypatch):
         # A row whose every grid cost is infinite is scored on the grid only,
         # even when other rows of the batch refine.
         y, _, profiles = _profiles(ms=(9,))
-        calls = []
+        scored, scorer = [], solver._scorer
 
-        def direct(lam):
-            calls.append(lam)
-            return float("inf")
+        def spy(batch, n, k):
+            scored.append((list(batch), k))
+            return scorer(batch, n, k)
 
+        monkeypatch.setattr(solver, "_scorer", spy)
         points = LambdaGrid().points()
-        lam, cost = search_lambda([profiles[0], GcvProfile(None, direct=direct)], y, points)
-        assert len(calls) == points.size
+        rows = [profiles[0], GcvProfile(None)]
+        lam, cost = search_lambda(rows, y, points)
+        assert [(len(batch), k) for batch, k in scored] == [(2, points.size), (1, 1)]
+        assert scored[1][0][0] is profiles[0]
         assert np.isfinite(cost[0]) and np.isnan(lam[1]) and cost[1] == np.inf
 
     def test_an_iterable_of_designs_gives_one_row_each(self):
@@ -441,12 +444,8 @@ class TestSearchLambda:
 
     def test_profile_costs_match_the_direct_factorization(self, monkeypatch):
         # The profile's O(c) cost against gcv_score's Cholesky path (the
-        # reference), and the search on the direct path, which a pencil that
-        # is not definite takes, against the search on the profile.
-        import scipy.linalg
-
-        from alps import solver
-
+        # reference). A pencil that is not definite has no profile: its row
+        # is degenerate, and a one-design search has no valid lambda.
         y, designs, profiles = _profiles(ms=(4, 20, 58))
         lams = np.geomspace(1e-4, 1e4, 9)
         costs = solver._scorer(profiles, y.size, lams.size)(np.tile(lams, (len(profiles), 1)))
@@ -454,14 +453,14 @@ class TestSearchLambda:
             c = B.values.shape[1]
             direct = [gcv_score(B, y, penalty_matrix(2, c, lam)) for lam in lams]
             np.testing.assert_allclose(row, direct, rtol=1e-9)
-        eigen = [minimize_gcv_lambda(B, y, 2) for B in designs]
 
         def not_definite(*args, **kwargs):
             raise scipy.linalg.LinAlgError("not definite")
 
         monkeypatch.setattr(scipy.linalg, "eigh", not_definite)
-        for B, (lam, cost) in zip(designs, eigen):
+        lam, cost = minimize_gcv_lambda(iter(designs), y, 2)
+        assert np.isnan(lam).all() and (cost == np.inf).all()
+        for B in designs:
             assert gcv_profile(B, y, 2).mu is None
-            lam_d, cost_d = minimize_gcv_lambda(B, y, 2)
-            assert cost_d == pytest.approx(cost, rel=1e-9)
-            assert lam_d == pytest.approx(lam, rel=1e-4)
+            with pytest.raises(NoValidLambdaError):
+                minimize_gcv_lambda(B, y, 2)
