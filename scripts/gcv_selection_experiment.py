@@ -19,14 +19,7 @@ import numpy as np
 from alps import core
 from alps.basis import build_knot_vector, eval_basis
 from alps.errors import AlpsError
-from alps.penalty import penalty_matrix
-from alps.solver import (
-    COST_TIE_RTOL,
-    LambdaGrid,
-    fit_penalized,
-    gcv_score,
-    minimize_gcv_lambda,
-)
+from alps.solver import COST_TIE_RTOL, LambdaGrid, fit_penalized, minimize_gcv_lambda
 from alps.synth import gramacy_lee, gramacy_lee_series
 
 DEFAULT = core.FitConfig()
@@ -37,8 +30,7 @@ TRUTH = gramacy_lee(TGRID)
 
 def truth_rmse(series, m, lam):
     kv = build_knot_vector(series.times, m, P)
-    res = fit_penalized(eval_basis(kv, series.times), series.values,
-                        penalty_matrix(Q, kv.n_bases, lam))
+    res = fit_penalized(eval_basis(kv, series.times), series.values, Q, lam)
     d = eval_basis(kv, TGRID).values @ res.theta - TRUTH
     return float(np.sqrt(np.mean(d * d)))
 
@@ -62,15 +54,9 @@ def gcv_lambda(series, m):
 
 def sequential(series):
     """Choose m by GCV at the grid floor, then lambda on that basis."""
-    costs = []
-    for m in range(1, len(series)):
-        kv = build_knot_vector(series.times, m, P)
-        try:
-            cost = gcv_score(eval_basis(kv, series.times), series.values,
-                             penalty_matrix(Q, kv.n_bases, GRID.lo))
-        except AlpsError:
-            cost = float("inf")
-        costs.append(cost)
+    designs = (eval_basis(build_knot_vector(series.times, m, P), series.times)
+               for m in range(1, len(series)))
+    _, costs = minimize_gcv_lambda(designs, series.values, Q, LambdaGrid(GRID.lo, GRID.lo, 1))
     m = 1 + int(np.argmin(costs))
     return m, gcv_lambda(series, m)
 

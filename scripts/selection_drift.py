@@ -25,7 +25,8 @@ The benchmark inputs come from ``perfbench/inputs.py``, imported read-only.
 ``--quick`` records only seeds 1, 0-9 and 0-2 and skips the long record.
 Only the degenerate group and the long record need ``FitConfig``.
 ``--compare`` lists every input whose outcome changed between a model and
-an error (or between error types) before comparing the models.
+an error (or between error types) before comparing the models. It exits 1
+when any outcome, m_hat or model document differs, and 0 otherwise.
 """
 
 import argparse
@@ -153,7 +154,9 @@ def _outcome(entry) -> str:
     return entry[0] if len(entry) == 1 else f"model m_hat={entry[0]}"
 
 
-def compare(a: dict, b: dict) -> None:
+def compare(a: dict, b: dict) -> bool:
+    """Print the differences between two records; whether any outcome,
+    m_hat or model document differs."""
     keys = sorted(k for k in a.keys() & b.keys() if not k.endswith("/seconds"))
     raised = [k for k in keys if len(a[k]) == 1 or len(b[k]) == 1]
     changed = [k for k in raised if _outcome(a[k]) != _outcome(b[k])]
@@ -182,6 +185,7 @@ def compare(a: dict, b: dict) -> None:
     for k in sorted(a.keys() & b.keys()):
         if k.endswith("/seconds"):
             print(f"{k}: {a[k]:.2f} -> {b[k]:.2f}")
+    return bool(changed or m_diff or doc_diff)
 
 
 def main():
@@ -193,8 +197,7 @@ def main():
     args = ap.parse_args()
     if args.compare:
         a, b = (json.loads(Path(p).read_text()) for p in args.compare)
-        compare(a, b)
-        return
+        return int(compare(a, b))
     out = record(args.quick)
     text = json.dumps(out, indent=1)
     if args.out:
@@ -204,4 +207,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

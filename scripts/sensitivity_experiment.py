@@ -12,7 +12,6 @@ import numpy as np
 from alps import core
 from alps.baselines import fit_polynomial
 from alps.basis import eval_basis
-from alps.penalty import penalty_matrix
 from alps.solver import fit_penalized
 from alps.synth import gramacy_lee_series
 from alps.timeseries import TimeSeries
@@ -41,9 +40,8 @@ def main():
     perturbed[idx] += args.delta
 
     B = eval_basis(kv, series.times)
-    spec = penalty_matrix(model.q, kv.n_bases, model.lambda_hat)
-    base = fit_penalized(B, series.values, spec)
-    pert = fit_penalized(B, perturbed, spec)
+    base = fit_penalized(B, series.values, model.q, model.lambda_hat)
+    pert = fit_penalized(B, perturbed, model.q, model.lambda_hat)
 
     grid = np.linspace(*model.domain, 800)
     Bg = eval_basis(kv, grid)

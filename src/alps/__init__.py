@@ -42,12 +42,11 @@ from .baselines import (
     windowed_linear,
 )
 from .outliers import OutlierReport, detect_and_refit
-from .penalty import PenaltySpec, difference_matrix, penalty_matrix
+from .penalty import difference_matrix
 from .solver import (
     FitResult,
     LambdaGrid,
     fit_penalized,
-    gcv_score,
     minimize_gcv_lambda,
 )
 from .timeseries import TimeSeries, read_timeseries, write_timeseries
@@ -65,7 +64,6 @@ __all__ = [
     "KnotVector",
     "LambdaGrid",
     "OutlierReport",
-    "PenaltySpec",
     "PiecewiseLinearModel",
     "PolyModel",
     "PredictionBand",
@@ -81,13 +79,11 @@ __all__ = [
     "fit",
     "fit_penalized",
     "fit_polynomial",
-    "gcv_score",
     "linear_interpolation",
     "linear_trend",
     "load_model",
     "minimize_gcv_lambda",
     "month_start_grid",
-    "penalty_matrix",
     "predict",
     "predict_derivative",
     "read_timeseries",

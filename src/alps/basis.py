@@ -64,11 +64,6 @@ class BasisMatrix:
 
     values: np.ndarray
     epochs: np.ndarray
-    derivative_order: int = 0
-
-    @property
-    def n_bases(self) -> int:
-        return self.values.shape[1]
 
 
 def build_knot_vector(times, m: int, p: int, placement: str = "quantile") -> KnotVector:
@@ -185,5 +180,4 @@ def eval_basis_derivative(kv: KnotVector, epochs) -> BasisMatrix:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         values = (_term(p, near[:, p : 2 * p + 1] - near[:, : p + 1], lower[:, :-1])
                   - _term(p, near[:, p + 1 :] - near[:, 1 : p + 2], lower[:, 1:]))
-    return BasisMatrix(values=_dense(first - 1, values, kv.n_bases), epochs=t,
-                       derivative_order=1)
+    return BasisMatrix(values=_dense(first - 1, values, kv.n_bases), epochs=t)

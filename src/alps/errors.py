@@ -51,10 +51,6 @@ class FitFailureError(NumericalError):
         self.diagnostics = diagnostics
 
 
-class DegenerateVarianceError(NumericalError):
-    """Residual degrees of freedom too small for variance estimation."""
-
-
 class InsufficientDataAfterRejectionError(NumericalError):
     """Outlier exclusions left too few points to refit."""
 

@@ -104,9 +104,6 @@ class CrossSeriesTable:
     rate_a_std: np.ndarray
     value_b: np.ndarray
 
-    def rows(self):
-        return zip(self.epochs, self.rate_a, self.value_b, self.rate_a_std)
-
 
 def cross_series_table(
     model_a: core.AlpsModel,

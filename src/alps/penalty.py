@@ -1,22 +1,10 @@
-"""Difference operators and the coefficient-difference penalty matrix."""
+"""Difference operators of the coefficient-difference penalty lam * D_q' D_q."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-
-
-@dataclass(frozen=True)
-class PenaltySpec:
-    """Order-q difference penalty P = lam * D_q' D_q on c coefficients."""
-
-    q: int
-    lam: float
-    c: int
-    P: np.ndarray
 
 
 def difference_matrix(q: int, c: int) -> np.ndarray:
@@ -28,11 +16,3 @@ def difference_matrix(q: int, c: int) -> np.ndarray:
     for _ in range(q):
         D = np.diff(D, axis=0)
     return D
-
-
-def penalty_matrix(q: int, c: int, lam: float) -> PenaltySpec:
-    """Build the c x c penalty lam * D_q' D_q."""
-    if lam < 0:
-        raise InvalidInputError(f"smoothing parameter must be >= 0, got {lam}")
-    D = difference_matrix(q, c)
-    return PenaltySpec(q=q, lam=float(lam), c=c, P=lam * (D.T @ D))

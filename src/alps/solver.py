@@ -1,7 +1,7 @@
 """Penalized least squares, GCV scoring, and the smoothing-parameter
 search.
 
-The normal matrix ``A = B'B + P`` is always handled through a symmetric
+The normal matrix ``A = B'B + lam D'D`` is always handled through a symmetric
 positive-definite factorization, never an explicit inverse. The lambda
 search runs in two phases. First each design's pencil ``(D'D, B'B + D'D)``
 is diagonalized once (``gcv_profile``), after which a GCV cost is O(c)
@@ -27,7 +27,7 @@ from .errors import (
     NoValidLambdaError,
     RankDeficiencyError,
 )
-from .penalty import PenaltySpec, difference_matrix
+from .penalty import difference_matrix
 
 # GCV denominator (1 - tr(H)/n) below this scores +inf: the configuration is
 # effectively interpolating and carries no generalization information.
@@ -49,14 +49,11 @@ class LambdaGrid:
     num: int = 41
 
     def __post_init__(self):
-        if not (0 < self.lo <= self.hi) or self.num < 1:
-            raise InvalidInputError("lambda grid needs 0 < lo <= hi and num >= 1")
+        if not (0 < self.lo <= self.hi < math.inf) or self.num < 1:
+            raise InvalidInputError("lambda grid needs 0 < lo <= hi < inf and num >= 1")
 
     def points(self) -> np.ndarray:
         return np.geomspace(self.lo, self.hi, self.num)
-
-
-DEFAULT_LAMBDA_GRID = LambdaGrid()
 
 
 @dataclass(frozen=True)
@@ -65,8 +62,6 @@ class FitResult:
 
     theta: np.ndarray
     normal_factorization: tuple
-    residual_ss: float
-    tr_h: float
     df_res: float
     sigma2: float
     ridged: bool = False
@@ -97,12 +92,10 @@ def _factorize(A: np.ndarray):
         ) from None
 
 
-def _check_support(Bv: np.ndarray, P: PenaltySpec) -> None:
-    """A basis function with no data support and no penalty coupling makes
-    the normal matrix exactly singular; name the offending index range."""
-    empty = ~np.any(Bv != 0.0, axis=0)
-    unpinned = np.diag(P.P) == 0.0
-    dead = np.flatnonzero(empty & unpinned)
+def _check_support(Bv: np.ndarray) -> None:
+    """Without a penalty, a basis function with no data support makes the
+    normal matrix exactly singular; name the offending index range."""
+    dead = np.flatnonzero(~np.any(Bv != 0.0, axis=0))
     if dead.size:
         raise RankDeficiencyError(
             f"basis functions {dead.min()}..{dead.max()} have empty data support "
@@ -110,8 +103,8 @@ def _check_support(Bv: np.ndarray, P: PenaltySpec) -> None:
         )
 
 
-def fit_penalized(B, y, P: PenaltySpec) -> FitResult:
-    """Minimize ||y - B theta||^2 + theta' P theta.
+def fit_penalized(B, y, q: int, lam: float) -> FitResult:
+    """Minimize ||y - B theta||^2 + lam ||D_q theta||^2.
 
     Also evaluates the residual degrees of freedom and the unbiased error
     variance on the c x c scale (no n x n smoother matrix is formed).
@@ -121,12 +114,15 @@ def fit_penalized(B, y, P: PenaltySpec) -> FitResult:
     n, c = Bv.shape
     if y.shape != (n,):
         raise InvalidInputError(f"y must have length {n}, got {y.shape}")
-    if P.c != c:
-        raise InvalidInputError(f"penalty built for c={P.c}, design has c={c}")
-    _check_support(Bv, P)
+    if not (math.isfinite(lam) and lam >= 0):
+        raise InvalidInputError(f"smoothing parameter must be finite and >= 0, got {lam}")
+    D = difference_matrix(q, c)
+    # With q < c every column of D is nonzero: only lam = 0 leaves one unpinned.
+    if lam == 0:
+        _check_support(Bv)
     with blas_threads_for(c):
         G = Bv.T @ Bv
-        cho, ridged = _factorize(G + P.P)
+        cho, ridged = _factorize(G + lam * (D.T @ D))
         theta = scipy.linalg.cho_solve(cho, Bv.T @ y)
         resid = y - Bv @ theta
         rss = float(resid @ resid)
@@ -138,19 +134,10 @@ def fit_penalized(B, y, P: PenaltySpec) -> FitResult:
     return FitResult(
         theta=theta,
         normal_factorization=cho,
-        residual_ss=rss,
-        tr_h=tr_h,
         df_res=df_res,
         sigma2=sigma2,
         ridged=ridged,
     )
-
-
-def gcv_score(B, y, P: PenaltySpec) -> float:
-    """Sum of squared residuals, each normalized by (1 - tr(H)/n); +inf when
-    that denominator falls below the degeneracy floor."""
-    result = fit_penalized(B, y, P)
-    return float(_gcv_cost(result.residual_ss, result.tr_h, _design(B).shape[0]))
 
 
 def _gcv_cost(rss, tr_h, n):
@@ -305,7 +292,7 @@ def _golden_section(costs, lo: np.ndarray, hi: np.ndarray):
     return np.column_stack(lams), np.column_stack(scored)
 
 
-def minimize_gcv_lambda(B, y, q: int, grid: LambdaGrid = DEFAULT_LAMBDA_GRID):
+def minimize_gcv_lambda(B, y, q: int, grid: LambdaGrid = LambdaGrid()):
     """The GCV-minimizing lambda of design ``B``: (lambda_hat, cost),
     deterministic for fixed inputs. Raises NoValidLambdaError when every
     candidate is degenerate.

@@ -12,7 +12,7 @@ import numpy as np
 from alps import core, fusion, outliers
 from alps.baselines import fit_polynomial
 from alps.basis import build_knot_vector, eval_basis, eval_basis_derivative
-from alps.penalty import difference_matrix, penalty_matrix
+from alps.penalty import difference_matrix
 from alps.solver import LambdaGrid, fit_penalized, minimize_gcv_lambda
 from alps.synth import fusion_suite, gramacy_lee, gramacy_lee_series
 from alps.timeseries import TimeSeries
@@ -111,7 +111,7 @@ def test_criterion_4_polynomial_reproduction():
                 kv = build_knot_vector(times, m, 4, placement)
                 B = eval_basis(kv, times)
                 for lam in grid:
-                    res = fit_penalized(B, y, penalty_matrix(q, kv.n_bases, lam))
+                    res = fit_penalized(B, y, q, lam)
                     assert np.abs(B.values @ res.theta - y).max() < 1e-8
 
 
@@ -146,8 +146,7 @@ def test_criterion_5_gcv_selection_quality():
             lam_hat, _ = minimize_gcv_lambda(B, series.values, q=2)
             truth_rmse = []
             for lam in (lam_hat, grid.lo, grid.hi):
-                spec = penalty_matrix(2, kv.n_bases, lam)
-                res = fit_penalized(B, series.values, spec)
+                res = fit_penalized(B, series.values, 2, lam)
                 truth_rmse.append(rmse(Bg.values @ res.theta, truth_grid))
             r_gcv, r_lo, r_hi = truth_rmse
             wins += (r_gcv < r_lo) and (r_gcv < r_hi)
@@ -221,9 +220,8 @@ def test_criterion_8_local_vs_global_sensitivity():
         perturbed[idx] += 0.5
 
         B = eval_basis(kv, series.times)
-        spec = penalty_matrix(model.q, kv.n_bases, model.lambda_hat)
-        base_fit = fit_penalized(B, series.values, spec)
-        pert_fit = fit_penalized(B, perturbed, spec)
+        base_fit = fit_penalized(B, series.values, model.q, model.lambda_hat)
+        pert_fit = fit_penalized(B, perturbed, model.q, model.lambda_hat)
 
         grid = np.linspace(*model.domain, 800)
         Bg = eval_basis(kv, grid)

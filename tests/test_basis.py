@@ -16,13 +16,14 @@ def naive_basis(knots, i, p, t):
     the vectorized implementation is checked against."""
     if p == 0:
         return 1.0 if knots[i] <= t < knots[i + 1] else 0.0
-    left = 0.0
-    if knots[i + p] != knots[i]:
-        left = (t - knots[i]) / (knots[i + p] - knots[i]) * naive_basis(knots, i, p - 1, t)
-    right = 0.0
-    if knots[i + p + 1] != knots[i + 1]:
-        right = ((knots[i + p + 1] - t) / (knots[i + p + 1] - knots[i + 1])
-                 * naive_basis(knots, i + 1, p - 1, t))
+    # A term whose lower-degree factor is 0 is 0, even where a subnormal
+    # knot gap overflows its coefficient (inf * 0 would give NaN).
+    left, lower = 0.0, naive_basis(knots, i, p - 1, t)
+    if lower and knots[i + p] != knots[i]:
+        left = (t - knots[i]) / (knots[i + p] - knots[i]) * lower
+    right, lower = 0.0, naive_basis(knots, i + 1, p - 1, t)
+    if lower and knots[i + p + 1] != knots[i + 1]:
+        right = (knots[i + p + 1] - t) / (knots[i + p + 1] - knots[i + 1]) * lower
     return left + right
 
 
@@ -194,6 +195,7 @@ def test_partition_of_unity_property(setup, frac):
 
 @settings(max_examples=60, deadline=None)
 @given(random_knot_setup(), st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+@example((np.array([0.0, 1.1125369292536007e-308, 0.5, 1.0, 2.0, 3.0, 4.0]), 6, 2), 0.5)
 def test_local_support_and_oracle_property(setup, frac):
     times, m, p = setup
     kv = build_knot_vector(times, m, p)

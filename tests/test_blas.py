@@ -13,7 +13,6 @@ import scipy.linalg
 from alps import _blas, core, fusion, outliers, solver
 from alps._blas import OneBlasThread, find_openblas
 from alps.basis import build_knot_vector, eval_basis
-from alps.penalty import penalty_matrix
 from alps.errors import OutOfDomainError
 from alps.synth import fusion_suite, gramacy_lee_series
 
@@ -116,9 +115,8 @@ def test_larger_systems_keep_the_callers_count(monkeypatch, series, two_threads)
 
 @pytest.fixture(scope="module")
 def design(series):
-    """A basis on the series and a matching penalty, for the solver's calls."""
-    B = eval_basis(build_knot_vector(series.times, 10, 4, "quantile"), series.times)
-    return B, penalty_matrix(2, B.values.shape[1], 1.0)
+    """A basis on the series, for the solver's calls."""
+    return eval_basis(build_knot_vector(series.times, 10, 4, "quantile"), series.times)
 
 
 @needs_openblas
@@ -129,9 +127,8 @@ def design(series):
     lambda s, m, d: outliers.detect_and_refit(s),
     lambda s, m, d: fusion.reconstruct(fusion.FusionInput(
         fusion_suite(seed=0).observations, fusion_suite(seed=0).dense_model)),
-    lambda s, m, d: solver.minimize_gcv_lambda(d[0], s.values, 2),
-    lambda s, m, d: solver.fit_penalized(d[0], s.values, d[1]),
-    lambda s, m, d: solver.gcv_score(d[0], s.values, d[1]),
+    lambda s, m, d: solver.minimize_gcv_lambda(d, s.values, 2),
+    lambda s, m, d: solver.fit_penalized(d, s.values, 2, 1.0),
 ])
 def test_counts_restored_after_return(call, series, model, design, two_threads):
     call(series, model, design)

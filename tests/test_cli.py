@@ -121,6 +121,18 @@ class TestFitPredict:
         assert "error: ParseError:" in result.stderr
         assert not out.exists()
 
+    def test_model_with_a_degree_fit_rejects_is_a_parse_error(self, tmp_path, gl_data):
+        data, _ = gl_data
+        model_path = tmp_path / "model.json"
+        run("fit", data, "--model-out", model_path)
+        doc = json.loads(model_path.read_text())
+        c = len(doc["knots"])  # m + 2p + 1 knots with p = -1
+        doc.update(p=-1, m=c + 1, theta=[0.0] * c, normal_factor=np.eye(c).tolist())
+        model_path.write_text(json.dumps(doc))
+        result = run("predict", model_path, "--grid", 5, "--out", tmp_path / "grid.csv")
+        assert result.exit_code == 3
+        assert "error: ParseError: malformed model document: degree p" in result.stderr
+
     def test_out_of_domain_prediction_exit_code(self, tmp_path, gl_data):
         data, _ = gl_data
         model_path = tmp_path / "model.json"

@@ -14,7 +14,6 @@ from alps.errors import (
     OutOfDomainError,
     ParseError,
 )
-from alps.penalty import penalty_matrix
 from alps.solver import LambdaGrid, fit_penalized, gcv_profile, minimize_gcv_lambda
 from alps.synth import gramacy_lee, gramacy_lee_series
 from alps.timeseries import TimeSeries
@@ -63,7 +62,7 @@ class TestFit:
         # unpenalized fit with knots at every epoch (c = n)
         kv = build_knot_vector(series.times, len(series) - 4, 4)
         B = eval_basis(kv, series.times)
-        res = fit_penalized(B, series.values, penalty_matrix(2, kv.n_bases, 0.0))
+        res = fit_penalized(B, series.values, 2, 0.0)
         assert rmse(fitted, truth) < rmse(B.values @ res.theta, truth)
 
     def test_scan_optimality(self, noisy_model):
@@ -269,10 +268,15 @@ class TestSerialization:
         ("df_res", 0.0), ("df_res", -1.0), ("df_res", float("nan")),
         ("lambda", float("nan")), ("lambda", float("inf")),
         ("theta", float("nan")), ("normal_factor", float("inf")), ("knots", float("nan")),
+        ("p", -1), ("p", 0), ("p", 1), ("p", 5), ("q", 0), ("q", 4),
     ])
     def test_documents_that_give_broken_bands_are_rejected(self, noisy_model, field, value):
         _, model = noisy_model
         doc = core.model_to_dict(model)
+        if field == "p":
+            # Sections, theta and factor sized for degree p on the same knots.
+            c = len(doc["knots"]) - value - 1
+            doc.update(m=c - value, theta=[0.0] * c, normal_factor=np.eye(c).tolist())
         if isinstance(doc[field], list):
             doc[field] = [list(row) for row in doc[field]] if field == "normal_factor" \
                 else list(doc[field])

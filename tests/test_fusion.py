@@ -4,7 +4,6 @@ import pytest
 from alps import core, fusion
 from alps.basis import eval_basis
 from alps.errors import CoverageError, InvalidInputError, OutOfDomainError
-from alps.penalty import penalty_matrix
 from alps.solver import LambdaGrid, fit_penalized
 from alps.synth import fusion_suite, seasonal_component, slow_component
 from alps.timeseries import TimeSeries
@@ -149,8 +148,7 @@ class TestReconstruct:
         diff2 = fusion.compute_difference(shifted)
         model = result.dibc_model
         B = eval_basis(model.knot_vector, diff2.times)
-        spec = penalty_matrix(model.q, model.knot_vector.n_bases, model.lambda_hat)
-        refit = fit_penalized(B, diff2.values, spec)
+        refit = fit_penalized(B, diff2.values, model.q, model.lambda_hat)
         epochs = result.reconstruction.epochs
         Bg = eval_basis(model.knot_vector, epochs)
         aligned2 = fusion.align_dense_model(shifted)

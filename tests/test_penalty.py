@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from alps.basis import build_knot_vector, eval_basis
 from alps.errors import InvalidInputError
-from alps.penalty import difference_matrix, penalty_matrix
+from alps.penalty import difference_matrix
+from alps.solver import fit_penalized
 
 
 def compose_first_differences(q, c):
@@ -66,32 +68,42 @@ class TestDifferenceMatrix:
 
 
 class TestPenaltyMatrix:
+    """The penalty lam * D_q' D_q that fit_penalized adds to B'B."""
+
     def test_zero_lambda_gives_zero_matrix(self):
-        spec = penalty_matrix(2, 6, 0.0)
-        np.testing.assert_array_equal(spec.P, np.zeros((6, 6)))
+        # lambda = 0 is plain least squares.
+        times = np.linspace(0.0, 1.0, 30)
+        B = eval_basis(build_knot_vector(times, 5, 3), times)
+        y = np.sin(3.0 * times)
+        theta = fit_penalized(B, y, 2, 0.0).theta
+        np.testing.assert_allclose(theta, np.linalg.lstsq(B.values, y, rcond=None)[0],
+                                   rtol=1e-9, atol=1e-12)
 
     def test_first_order_expansion(self):
         lam = 0.7
-        spec = penalty_matrix(1, 5, lam)
+        D = difference_matrix(1, 5)
         rng = np.random.default_rng(0)
         for _ in range(10):
             theta = rng.normal(size=5)
             explicit = lam * np.sum(np.diff(theta) ** 2)
-            assert theta @ spec.P @ theta == pytest.approx(explicit, rel=1e-12)
+            assert theta @ (lam * (D.T @ D)) @ theta == pytest.approx(explicit, rel=1e-12)
 
     def test_linear_coefficients_unpenalized_for_q2(self):
-        spec = penalty_matrix(2, 7, 13.0)
+        D = difference_matrix(2, 7)
         theta = 2.5 + 0.3 * np.arange(7.0)
-        assert theta @ spec.P @ theta == pytest.approx(0.0, abs=1e-12)
+        assert theta @ (13.0 * (D.T @ D)) @ theta == pytest.approx(0.0, abs=1e-12)
 
     def test_negative_lambda_rejected(self):
+        times = np.linspace(0.0, 1.0, 12)
+        B = eval_basis(build_knot_vector(times, 3, 3), times)
         with pytest.raises(InvalidInputError):
-            penalty_matrix(2, 6, -1.0)
+            fit_penalized(B, times, 2, -1.0)
 
     def test_psd_and_rank(self):
-        spec = penalty_matrix(2, 8, 3.0)
-        np.testing.assert_allclose(spec.P, spec.P.T)
-        eigvals = np.linalg.eigvalsh(spec.P)
+        D = difference_matrix(2, 8)
+        P = 3.0 * (D.T @ D)
+        np.testing.assert_allclose(P, P.T)
+        eigvals = np.linalg.eigvalsh(P)
         assert np.all(eigvals > -1e-10)
         assert np.sum(eigvals > 1e-10) == 8 - 2
 
@@ -104,9 +116,9 @@ class TestPenaltyMatrix:
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_quadratic_form_matches_difference_sum(q, c, lam, seed):
-    spec = penalty_matrix(q, c, lam)
+    D = difference_matrix(q, c)
     theta = np.random.default_rng(seed).normal(size=c)
-    quad = theta @ spec.P @ theta
+    quad = theta @ (lam * (D.T @ D)) @ theta
     explicit = lam * np.sum(np.diff(theta, n=q) ** 2)
     assert quad >= -1e-12
     assert quad == pytest.approx(explicit, rel=1e-10, abs=1e-12)

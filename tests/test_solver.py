@@ -5,13 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from alps import solver
 from alps.basis import build_knot_vector, eval_basis
-from alps.errors import (
-    DegenerateVarianceError,
-    InvalidInputError,
-    NoValidLambdaError,
-    RankDeficiencyError,
-)
-from alps.penalty import penalty_matrix
+from alps.errors import InvalidInputError, NoValidLambdaError, RankDeficiencyError
+from alps.penalty import difference_matrix
 from alps.solver import (
     COST_TIE_RTOL,
     GcvProfile,
@@ -19,7 +14,6 @@ from alps.solver import (
     best_columns,
     fit_penalized,
     gcv_profile,
-    gcv_score,
     minimize_gcv_lambda,
     search_lambda,
 )
@@ -32,17 +26,36 @@ def uniform_design(n=40, m=8, p=3, lo=0.0, hi=1.0):
     return times, kv, eval_basis(kv, times)
 
 
-def normal_equations_oracle(Bv, y, P):
-    """Direct dense solve of (B'B + P) theta = B'y."""
-    return np.linalg.solve(Bv.T @ Bv + P, Bv.T @ y)
+def penalty(q, c, lam):
+    """The c x c penalty lam * D_q' D_q."""
+    D = difference_matrix(q, c)
+    return lam * (D.T @ D)
 
 
-def smoother_matrix(B, P):
+def normal_equations_oracle(Bv, y, q, lam):
+    """Direct dense solve of (B'B + lam D'D) theta = B'y."""
+    return np.linalg.solve(Bv.T @ Bv + penalty(q, Bv.shape[1], lam), Bv.T @ y)
+
+
+def smoother_matrix(B, q, lam):
     """n x n matrix H mapping observations to fitted values."""
     Bv = solver._design(B)
-    solver._check_support(Bv, P)
-    cho, _ = solver._factorize(Bv.T @ Bv + P.P)
+    if lam == 0:
+        solver._check_support(Bv)
+    cho, _ = solver._factorize(Bv.T @ Bv + penalty(q, Bv.shape[1], lam))
     return Bv @ scipy.linalg.cho_solve(cho, Bv.T)
+
+
+def gcv_score(B, y, q, lam):
+    """GCV at one lambda by a direct Cholesky solve: the residual sum of
+    squares over (1 - tr(H)/n)^2, +inf when that denominator falls below
+    the degeneracy floor. The reference for the profile scorer."""
+    Bv, y = solver._design(B), np.asarray(y, dtype=float)
+    G = Bv.T @ Bv
+    cho, _ = solver._factorize(G + penalty(q, Bv.shape[1], lam))
+    resid = y - Bv @ scipy.linalg.cho_solve(cho, Bv.T @ y)
+    tr_h = np.trace(scipy.linalg.cho_solve(cho, G))
+    return float(solver._gcv_cost(resid @ resid, tr_h, y.size))
 
 
 def residual_df(H):
@@ -57,7 +70,7 @@ def residual_df(H):
 def error_variance(y, B, theta, df_res):
     """Unbiased residual variance ||y - B theta||^2 / df_res."""
     if df_res <= 0:
-        raise DegenerateVarianceError(f"df_res must be positive, got {df_res}")
+        raise ValueError(f"df_res must be positive, got {df_res}")
     Bv = solver._design(B)
     resid = np.asarray(y, dtype=float) - Bv @ np.asarray(theta, dtype=float)
     return float(resid @ resid) / df_res
@@ -68,16 +81,14 @@ class TestFitPenalized:
         times, kv, B = uniform_design()
         y = np.full(len(times), 7.0)
         for q, lam in [(1, 0.5), (2, 100.0), (1, 1e4)]:
-            spec = penalty_matrix(q, kv.n_bases, lam)
-            res = fit_penalized(B, y, spec)
+            res = fit_penalized(B, y, q, lam)
             np.testing.assert_allclose(B.values @ res.theta, y, atol=1e-9)
 
     def test_linear_matches_normal_equations_oracle(self):
         times, kv, B = uniform_design(n=30, m=6, p=3)
         y = 2.0 - 3.0 * times
-        spec = penalty_matrix(2, kv.n_bases, 5.0)
-        res = fit_penalized(B, y, spec)
-        expected = normal_equations_oracle(B.values, y, spec.P)
+        res = fit_penalized(B, y, 2, 5.0)
+        expected = normal_equations_oracle(B.values, y, 2, 5.0)
         np.testing.assert_allclose(res.theta, expected, atol=1e-9)
         np.testing.assert_allclose(B.values @ res.theta, y, atol=1e-8)
 
@@ -87,16 +98,15 @@ class TestFitPenalized:
         kv = build_knot_vector(times, m=6, p=3)  # c = 9 = n
         B = eval_basis(kv, times)
         y = rng.normal(size=9)
-        res = fit_penalized(B, y, penalty_matrix(2, 9, 0.0))
-        assert res.residual_ss < 1e-16 * 9 * np.var(y)
+        resid = y - B.values @ fit_penalized(B, y, 2, 0.0).theta
+        assert resid @ resid < 1e-16 * 9 * np.var(y)
 
     def test_stationarity_condition(self):
         rng = np.random.default_rng(4)
         times, kv, B = uniform_design(n=50, m=10, p=4)
         y = rng.normal(size=50)
-        spec = penalty_matrix(2, kv.n_bases, 0.37)
-        res = fit_penalized(B, y, spec)
-        A = B.values.T @ B.values + spec.P
+        res = fit_penalized(B, y, 2, 0.37)
+        A = B.values.T @ B.values + penalty(2, kv.n_bases, 0.37)
         rhs = B.values.T @ y
         rel = np.linalg.norm(A @ res.theta - rhs) / np.linalg.norm(rhs)
         assert rel < 1e-10
@@ -108,12 +118,18 @@ class TestFitPenalized:
         B_left = eval_basis(kv, times[times <= 0.4])
         y = np.zeros(B_left.values.shape[0])
         with pytest.raises(RankDeficiencyError, match=r"\d+\.\.\d+"):
-            fit_penalized(B_left, y, penalty_matrix(2, kv.n_bases, 0.0))
+            fit_penalized(B_left, y, 2, 0.0)
 
     def test_shape_mismatch(self):
         times, kv, B = uniform_design()
         with pytest.raises(InvalidInputError):
-            fit_penalized(B, np.zeros(len(times) + 1), penalty_matrix(2, kv.n_bases, 1.0))
+            fit_penalized(B, np.zeros(len(times) + 1), 2, 1.0)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+    def test_lambda_must_be_finite_and_nonnegative(self, lam):
+        times, kv, B = uniform_design()
+        with pytest.raises(InvalidInputError, match="smoothing parameter"):
+            fit_penalized(B, np.zeros(len(times)), 2, lam)
 
 
 class TestSmootherMatrix:
@@ -122,38 +138,46 @@ class TestSmootherMatrix:
         times = np.sort(rng.uniform(0, 1, 8))
         kv = build_knot_vector(times, m=5, p=3)  # c = 8
         B = eval_basis(kv, times)
-        H = smoother_matrix(B, penalty_matrix(2, 8, 0.0))
+        H = smoother_matrix(B, 2, 0.0)
         np.testing.assert_allclose(H, np.eye(8), atol=1e-7)
 
     def test_huge_lambda_first_order_keeps_only_constant(self):
         times, kv, B = uniform_design(n=25, m=6, p=3)
-        H = smoother_matrix(B, penalty_matrix(1, kv.n_bases, 1e12))
+        H = smoother_matrix(B, 1, 1e12)
         assert abs(np.trace(H) - 1.0) < 1e-3
 
     def test_consistent_with_fit(self):
         rng = np.random.default_rng(8)
         times, kv, B = uniform_design(n=35, m=7, p=3)
         y = rng.normal(size=35)
-        spec = penalty_matrix(2, kv.n_bases, 0.01)
-        H = smoother_matrix(B, spec)
-        res = fit_penalized(B, y, spec)
+        H = smoother_matrix(B, 2, 0.01)
+        res = fit_penalized(B, y, 2, 0.01)
         np.testing.assert_allclose(H @ y, B.values @ res.theta, atol=1e-10)
 
 
+def profile_cost(B, y, q, lam):
+    """The profile scorer's GCV cost at one lambda: a one-point grid,
+    which the search does not refine."""
+    return minimize_gcv_lambda([B], y, q, LambdaGrid(lam, lam, 1))[1][0]
+
+
 class TestGcvScore:
+    """The profile scorer, the library's one GCV evaluator, at one lambda."""
+
     def test_zero_residuals_zero_score(self):
         rng = np.random.default_rng(10)
         times, kv, B = uniform_design(n=30, m=5, p=3)
         theta = rng.normal(size=kv.n_bases)
         y = B.values @ theta  # exactly representable
-        assert gcv_score(B, y, penalty_matrix(2, kv.n_bases, 0.0)) < 1e-18
+        # The profile's rss starts from y'y - sum(w): rounding of y'y remains.
+        assert profile_cost(B, y, 2, 1e-12) < 1e-12 * (y @ y)
 
     def test_interpolation_limit_is_inf(self):
         times = np.array([0.0, 1.0])
         kv = build_knot_vector(times, m=1, p=1)  # c = 2 = n
         B = eval_basis(kv, times)
-        score = gcv_score(B, np.array([0.3, 0.9]), penalty_matrix(1, 2, 0.0))
-        assert score == np.inf
+        # 1 - tr(H)/n is of order lambda here, below the floor at 1e-12.
+        assert profile_cost(B, np.array([0.3, 0.9]), 1, 1e-12) == np.inf
 
     def test_matches_formula_transcription_oracle(self):
         rng = np.random.default_rng(12)
@@ -161,12 +185,11 @@ class TestGcvScore:
         y = gramacy_lee(times) + rng.normal(0, 0.1, 10)
         kv = build_knot_vector(times, m=3, p=3)  # c = 6
         B = eval_basis(kv, times)
-        spec = penalty_matrix(2, 6, 0.1)
         # Literal transcription with an explicit inverse and smoother matrix.
-        H = B.values @ np.linalg.inv(B.values.T @ B.values + spec.P) @ B.values.T
+        H = B.values @ np.linalg.inv(B.values.T @ B.values + penalty(2, 6, 0.1)) @ B.values.T
         resid = (np.eye(10) - H) @ y
         oracle = np.sum((resid / (1.0 - np.trace(H) / 10.0)) ** 2)
-        assert gcv_score(B, y, spec) == pytest.approx(oracle, rel=1e-10)
+        assert profile_cost(B, y, 2, 0.1) == pytest.approx(oracle, rel=1e-10)
 
 
 class TestMinimizeGcvLambda:
@@ -186,8 +209,8 @@ class TestMinimizeGcvLambda:
             y = truth + rng.normal(0, 0.5, 60)
             lam, _ = minimize_gcv_lambda(B, y, q=2)
             assert lam > LambdaGrid().lo
-            fit_sel = fit_penalized(B, y, penalty_matrix(2, kv.n_bases, lam))
-            fit_min = fit_penalized(B, y, penalty_matrix(2, kv.n_bases, LambdaGrid().lo))
+            fit_sel = fit_penalized(B, y, 2, lam)
+            fit_min = fit_penalized(B, y, 2, LambdaGrid().lo)
             rmse_sel = np.sqrt(np.mean((B.values @ fit_sel.theta - truth) ** 2))
             rmse_min = np.sqrt(np.mean((B.values @ fit_min.theta - truth) ** 2))
             better += rmse_sel < rmse_min
@@ -202,7 +225,7 @@ class TestMinimizeGcvLambda:
         y = np.sin(times) + rng.normal(0, 0.3, 50)
         lam, cost = minimize_gcv_lambda(B, y, q=2)
         candidates = [0.5, 0.01, 0.005, 0.001]
-        scores = [gcv_score(B, y, penalty_matrix(2, kv.n_bases, c)) for c in candidates]
+        scores = [gcv_score(B, y, 2, c) for c in candidates]
         assert cost <= min(scores) * (1 + 1e-9)
 
     def test_all_candidates_degenerate(self):
@@ -227,6 +250,8 @@ class TestMinimizeGcvLambda:
             LambdaGrid(-1.0, 1.0, 10)
         with pytest.raises(InvalidInputError):
             LambdaGrid(1.0, 0.5, 10)
+        with pytest.raises(InvalidInputError, match="hi < inf"):
+            LambdaGrid(1.0, np.inf, 10)
 
 
 class TestResidualDf:
@@ -262,7 +287,7 @@ class TestErrorVariance:
         assert error_variance(y, B, theta, df_res=2.0) == pytest.approx(1.0)
 
     def test_nonpositive_df_rejected(self):
-        with pytest.raises(DegenerateVarianceError):
+        with pytest.raises(ValueError):
             error_variance(np.ones(3), np.eye(3), np.ones(3), df_res=0.0)
 
     def test_unbiased_over_replicates(self):
@@ -270,15 +295,14 @@ class TestErrorVariance:
         # the estimator is exactly unbiased there.
         times, kv, B = uniform_design(n=50, m=8, p=3)
         truth = 1.0 + 0.5 * times
-        spec = penalty_matrix(2, kv.n_bases, 1.0)
-        H = smoother_matrix(B, spec)
+        H = smoother_matrix(B, 2, 1.0)
         df = residual_df(H)
         sigma = 0.3
         rng = np.random.default_rng(99)
         estimates = []
         for _ in range(500):
             y = truth + rng.normal(0, sigma, 50)
-            res = fit_penalized(B, y, spec)
+            res = fit_penalized(B, y, 2, 1.0)
             estimates.append(error_variance(y, B, res.theta, df))
         assert np.mean(estimates) == pytest.approx(sigma**2, rel=0.10)
 
@@ -287,7 +311,7 @@ class TestInvariants:
     def test_trace_monotone_in_lambda(self):
         times, kv, B = uniform_design(n=30, m=7, p=3)
         traces = [
-            np.trace(smoother_matrix(B, penalty_matrix(2, kv.n_bases, lam)))
+            np.trace(smoother_matrix(B, 2, lam))
             for lam in np.geomspace(1e-4, 1e4, 17)
         ]
         assert np.all(np.diff(traces) <= 1e-9)
@@ -297,7 +321,7 @@ class TestInvariants:
         c = kv.n_bases
         for q in (1, 2):
             for lam in (1e-3, 1.0, 1e3):
-                tr = np.trace(smoother_matrix(B, penalty_matrix(q, c, lam)))
+                tr = np.trace(smoother_matrix(B, q, lam))
                 assert q - 1e-9 <= tr <= c + 1e-9
 
     def test_polynomial_reproduction_on_uniform_knots(self):
@@ -305,7 +329,7 @@ class TestInvariants:
         cases = [(np.full(25, 3.0), 1), (np.full(25, 3.0), 2), (2 - 0.7 * times, 2)]
         for y, q in cases:
             for lam in LambdaGrid().points():
-                res = fit_penalized(B, y, penalty_matrix(q, kv.n_bases, lam))
+                res = fit_penalized(B, y, q, lam)
                 np.testing.assert_allclose(B.values @ res.theta, y, atol=1e-8)
 
 
@@ -325,9 +349,8 @@ def test_fit_matches_oracle_property(seed, lam, q):
     kv = build_knot_vector(times, m, 3)
     B = eval_basis(kv, times)
     y = rng.normal(size=n)
-    spec = penalty_matrix(q, kv.n_bases, lam)
-    res = fit_penalized(B, y, spec)
-    expected = normal_equations_oracle(B.values, y, spec.P)
+    res = fit_penalized(B, y, q, lam)
+    expected = normal_equations_oracle(B.values, y, q, lam)
     np.testing.assert_allclose(res.theta, expected, atol=1e-8)
 
 
@@ -425,8 +448,7 @@ class TestSearchLambda:
         y, designs, _ = _profiles(ms=(9,))
         lam, cost = minimize_gcv_lambda(designs[0], y, 2, LambdaGrid(0.5, 0.5, 1))
         assert lam == 0.5
-        assert cost == pytest.approx(gcv_score(designs[0], y, penalty_matrix(2, 13, 0.5)),
-                                     rel=1e-9)
+        assert cost == pytest.approx(gcv_score(designs[0], y, 2, 0.5), rel=1e-9)
 
     @pytest.mark.parametrize("shift", [123.0, -50.0])
     def test_a_constant_shift_of_y_keeps_lambda(self, shift):
@@ -443,15 +465,15 @@ class TestSearchLambda:
             assert cost1 == pytest.approx(cost0, rel=1e-9)
 
     def test_profile_costs_match_the_direct_factorization(self, monkeypatch):
-        # The profile's O(c) cost against gcv_score's Cholesky path (the
-        # reference). A pencil that is not definite has no profile: its row
-        # is degenerate, and a one-design search has no valid lambda.
+        # The profile's O(c) cost against the Cholesky path of the gcv_score
+        # oracle (the reference). A pencil that is not definite has no
+        # profile: its row is degenerate, and a one-design search has no
+        # valid lambda.
         y, designs, profiles = _profiles(ms=(4, 20, 58))
         lams = np.geomspace(1e-4, 1e4, 9)
         costs = solver._scorer(profiles, y.size, lams.size)(np.tile(lams, (len(profiles), 1)))
         for B, row in zip(designs, costs):
-            c = B.values.shape[1]
-            direct = [gcv_score(B, y, penalty_matrix(2, c, lam)) for lam in lams]
+            direct = [gcv_score(B, y, 2, lam) for lam in lams]
             np.testing.assert_allclose(row, direct, rtol=1e-9)
 
         def not_definite(*args, **kwargs):
