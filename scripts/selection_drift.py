@@ -7,9 +7,12 @@ records.
 
 The inputs:
 
-- ``ice-field/s<seed>r<round>/cell<k>/fit<j>``: every ``core.fit`` that
-  ``outliers.detect_and_refit`` and ``fusion.reconstruct`` make on the
-  benchmark's ice-field cells, seeds 1-5, rounds 0-1;
+- ``ice-field/s<seed>r<round>/cell<k>/<stage>``: the benchmark's ice-field
+  cells, seeds 1-5, rounds 0-1, by stage: ``final`` is the final model of
+  ``outliers.detect_and_refit``, ``fusion`` the difference model of
+  ``fusion.reconstruct`` (cells with a dense series), and ``flags`` the
+  level-1 and level-2 flag tuples. Keys name stages, not fits, so records
+  stay aligned however many fits a stage makes;
 - ``cli-batch/s<seed>r<round>/file<k>``: the benchmark's CLI series;
 - ``criterion/<seed>``: the criterion-5 series (Gramacy-Lee, n = 150,
   noise 0.05), seeds 0-89, through ``core.fit``; ``criterion/<seed>/m=n-1``
@@ -25,8 +28,9 @@ The benchmark inputs come from ``perfbench/inputs.py``, imported read-only.
 ``--quick`` records only seeds 1, 0-9 and 0-2 and skips the long record.
 Only the degenerate group and the long record need ``FitConfig``.
 ``--compare`` lists every input whose outcome changed between a model and
-an error (or between error types) before comparing the models. It exits 1
-when any outcome, m_hat or model document differs, and 0 otherwise.
+an error (or between error types) before comparing the models, and every
+cell whose flags changed. It exits 1 when any outcome, flag tuple, m_hat or
+model document differs, and 0 otherwise.
 """
 
 import argparse
@@ -50,24 +54,6 @@ def selected(model) -> list:
             hashlib.sha256(doc).hexdigest()]
 
 
-def record_fits(prefix: str, out: dict, fn):
-    """Run fn with core.fit recorded: one entry per fit, in call order."""
-    from alps import core
-    fit, count = core.fit, [0]
-
-    def recorded(*args, **kwargs):
-        model = fit(*args, **kwargs)
-        out[f"{prefix}/fit{count[0]}"] = selected(model)
-        count[0] += 1
-        return model
-
-    core.fit = recorded
-    try:
-        fn()
-    finally:
-        core.fit = fit
-
-
 def benchmark_inputs(out: dict, seeds) -> None:
     sys.path.insert(0, str(PERFBENCH))
     import inputs  # perfbench/inputs.py
@@ -78,12 +64,14 @@ def benchmark_inputs(out: dict, seeds) -> None:
         for k in (0, 1):
             tag = f"s{seed}r{k}"
             for c, cell in enumerate(inputs.ice_field(inputs.round_rng(seed, k))):
-                def cell_fits(cell=cell):
-                    report = outliers.detect_and_refit(TimeSeries(cell.times, cell.values))
-                    if cell.dense_times is not None:
-                        dense = TimeSeries(cell.dense_times, cell.dense_values)
-                        fusion.reconstruct(fusion.FusionInput(report.clean_data, dense))
-                record_fits(f"ice-field/{tag}/cell{c}", out, cell_fits)
+                key = f"ice-field/{tag}/cell{c}"
+                report = outliers.detect_and_refit(TimeSeries(cell.times, cell.values))
+                out[f"{key}/final"] = selected(report.final_model)
+                out[f"{key}/flags"] = [list(report.level1_indices), list(report.level2_indices)]
+                if cell.dense_times is not None:
+                    dense = TimeSeries(cell.dense_times, cell.dense_values)
+                    result = fusion.reconstruct(fusion.FusionInput(report.clean_data, dense))
+                    out[f"{key}/fusion"] = selected(result.dibc_model)
             for f, (t, y) in enumerate(inputs.cli_series(inputs.round_rng(seed, k))):
                 out[f"cli-batch/{tag}/file{f}"] = selected(core.fit(TimeSeries(t, y)))
 
@@ -156,8 +144,12 @@ def _outcome(entry) -> str:
 
 def compare(a: dict, b: dict) -> bool:
     """Print the differences between two records; whether any outcome,
-    m_hat or model document differs."""
-    keys = sorted(k for k in a.keys() & b.keys() if not k.endswith("/seconds"))
+    flag tuple, m_hat or model document differs."""
+    keys = sorted(k for k in a.keys() & b.keys() if not k.endswith(("/seconds", "/flags")))
+    flags = sorted(k for k in a.keys() & b.keys() if k.endswith("/flags"))
+    flag_diff = [k for k in flags if a[k] != b[k]]
+    print(f"flag tuples compared: {len(flags)}; differing: {len(flag_diff)}"
+          + "".join(f"\n  {k}: {a[k]} -> {b[k]}" for k in flag_diff))
     raised = [k for k in keys if len(a[k]) == 1 or len(b[k]) == 1]
     changed = [k for k in raised if _outcome(a[k]) != _outcome(b[k])]
     print(f"inputs where a fit raised: {len(raised)}; outcome changed: {len(changed)}"
@@ -185,7 +177,7 @@ def compare(a: dict, b: dict) -> bool:
     for k in sorted(a.keys() & b.keys()):
         if k.endswith("/seconds"):
             print(f"{k}: {a[k]:.2f} -> {b[k]:.2f}")
-    return bool(changed or m_diff or doc_diff)
+    return bool(changed or flag_diff or m_diff or doc_diff)
 
 
 def main():

@@ -89,25 +89,45 @@ def build_knot_vector(times, m: int, p: int, placement: str = "quantile") -> Kno
     unique = np.unique(times)
     if unique.size < 2:
         raise InvalidInputError("need at least 2 unique epochs to span a domain")
-    u0, um = unique[0], unique[-1]
-    if m == 1:
-        interior = np.empty(0)
-    elif placement == "quantile":
-        interior = np.quantile(unique, np.arange(1, m) / m, method="linear")
-    else:
-        interior = u0 + np.arange(1, m) * (um - u0) / m
-    domain_knots = np.concatenate(([u0], interior, [um]))
-    # Repeated quantiles may coincide; multiplicity beyond p would create
-    # zero-support basis functions.
-    _, counts = np.unique(domain_knots, return_counts=True)
-    if np.any(counts > p):
+    knots, ok = _knot_rows(unique, np.array([m]), p, placement)
+    if not ok[0]:
+        _, counts = np.unique(knots[0, p : p + m + 1], return_counts=True)
         raise DegenerateKnotsError(
             f"coincident knots with multiplicity {counts.max()} exceed degree {p}; reduce m"
         )
-    step = (um - u0) / m
-    left = u0 - step * np.arange(p, 0, -1)
-    right = um + step * np.arange(1, p + 1)
-    return KnotVector(np.concatenate((left, domain_knots, right)), p=p, m=m)
+    return KnotVector(knots[0], p=p, m=m)
+
+
+def _knot_rows(unique: np.ndarray, ms: np.ndarray, p: int, placement: str):
+    """The knot vector of each section count in ``ms`` over the sorted
+    unique epochs, one per row (m + 2p + 1 knots, then NaN), with every
+    row's interior knots from one quantile call; and whether each row's
+    domain knots stay within multiplicity p, counted as ``np.unique``
+    counts them. Raises InvalidInputError if such a row is out of order."""
+    u0, um = unique[0], unique[-1]
+    rows, inner = np.arange(ms.size), ms - 1
+    # Interior knot a = 1..m-1 of every row, rows one after another.
+    m_of = np.repeat(ms, inner)
+    a = np.arange(m_of.size) - np.repeat(np.cumsum(inner) - inner, inner) + 1
+    if placement == "quantile":
+        interior = np.quantile(unique, a / m_of, method="linear")
+    else:
+        interior = u0 + a * (um - u0) / m_of
+    domain = np.full((ms.size, ms.max() + 1), np.nan)
+    domain[:, 0], domain[rows, ms] = u0, um
+    domain[np.repeat(rows, inner), a] = interior
+    # Repeated quantiles may coincide; multiplicity beyond p would create
+    # zero-support basis functions.
+    ordered = np.sort(domain, axis=1)
+    ok = ~np.any(ordered[:, p:] == ordered[:, :-p], axis=1)
+    step = ((um - u0) / ms)[:, None]
+    knots = np.full((ms.size, ms.max() + 2 * p + 1), np.nan)
+    knots[:, :p] = u0 - step * np.arange(p, 0, -1)
+    knots[:, p : p + domain.shape[1]] = domain
+    knots[rows[:, None], p + ms[:, None] + np.arange(1, p + 1)] = um + step * np.arange(1, p + 1)
+    if np.any(np.diff(knots[ok], axis=1) < 0):
+        raise InvalidInputError("knots must be non-decreasing")
+    return knots, ok
 
 
 def _check_domain(kv: KnotVector, epochs: np.ndarray) -> None:
@@ -127,33 +147,41 @@ def _term(num, den, lower: np.ndarray) -> np.ndarray:
     return np.where((lower == 0.0) | ~(den > 0), 0.0, num / den * lower)
 
 
-def _local_values(kv: KnotVector, t: np.ndarray, degree: int):
-    """The degree+1 functions that may be nonzero at each epoch, between two
-    zero columns, by the two-term recursion restricted to them (so bit for
-    bit the full recursion's values); the index of the first; the knots
-    around each span. An epoch at the domain's right end falls in the last
+def _local_values(knots: np.ndarray, p: int, hi: float, t: np.ndarray, degree: int):
+    """For each knot vector (rows of ``knots``, domain end ``hi``) and each
+    epoch, one column per pair, knot vector by knot vector: the degree+1
+    functions that may be nonzero there, between two zero rows, by the
+    two-term recursion restricted to them (so bit for bit the full
+    recursion's values); the index of the first; the knots around each
+    span. Pairs run along the last axis, so every step works on contiguous
+    rows. An epoch at the domain's right end falls in the last
     positive-length span ending there: the recursion then yields the left
     limit, the closed-span value."""
-    knots, p, hi = kv.knots, kv.p, kv.domain[1]
-    span = np.searchsorted(knots, t, side="right") - 1
-    span[t == hi] = np.searchsorted(knots, hi, side="left") - 1
-    near = knots[span[:, None] + np.arange(-p, p + 2)]  # column p + k: knot span + k
-    values, tc = np.zeros((t.size, degree + 3)), t[:, None]
-    values[:, 1] = 1.0
+    span = np.concatenate([np.searchsorted(row, t, side="right") for row in knots]) - 1
+    last = np.array([np.searchsorted(row, hi, side="left") for row in knots]) - 1
+    tc = np.tile(t, len(knots))
+    span = np.where(tc == hi, np.repeat(last, t.size), span)
+    # Row p + k: knot span + k, in the pair's own knot vector.
+    at = np.repeat(np.arange(len(knots)) * knots.shape[1], t.size) + span
+    near = knots.ravel()[at + np.arange(-p, p + 2)[:, None]]
+    values = np.zeros((degree + 3, span.size))
+    values[1] = 1.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for d in range(1, degree + 1):
             # Functions j = span-d..span: knots j, j+d, then j+1, j+d+1.
-            lower = values[:, : d + 2]
-            lo, up = near[:, p - d : p + 1], near[:, p : p + d + 1]
-            rising = _term(tc - lo, up - lo, lower[:, :-1])
-            lo, up = near[:, p - d + 1 : p + 2], near[:, p + 1 : p + d + 2]
-            values[:, 1 : d + 2] = rising + _term(up - tc, up - lo, lower[:, 1:])
+            lower = values[: d + 2]
+            lo, up = near[p - d : p + 1], near[p : p + d + 1]
+            rising = _term(tc - lo, up - lo, lower[:-1])
+            lo, up = near[p - d + 1 : p + 2], near[p + 1 : p + d + 2]
+            values[1 : d + 2] = rising + _term(up - tc, up - lo, lower[1:])
     return span - degree, values, near
 
 
 def _dense(first: np.ndarray, values: np.ndarray, n_cols: int) -> np.ndarray:
+    """Dense (epochs, n_cols) matrix whose row e holds column e of the
+    local ``values`` from index ``first[e]`` on."""
     out = np.zeros((first.size, n_cols))
-    out[np.arange(first.size)[:, None], first[:, None] + np.arange(values.shape[1])] = values
+    out[np.arange(first.size)[:, None], first[:, None] + np.arange(values.shape[0])] = values.T
     return out
 
 
@@ -161,8 +189,35 @@ def eval_basis(kv: KnotVector, epochs) -> BasisMatrix:
     """Evaluate all ``c = m + p`` degree-p basis functions at the epochs."""
     t = np.atleast_1d(np.asarray(epochs, dtype=float))
     _check_domain(kv, t)
-    first, values, _ = _local_values(kv, t, kv.p)
-    return BasisMatrix(values=_dense(first, values[:, 1:-1], kv.n_bases), epochs=t)
+    first, values, _ = _local_values(kv.knots[None], kv.p, kv.domain[1], t, kv.p)
+    return BasisMatrix(values=_dense(first, values[1:-1], kv.n_bases), epochs=t)
+
+
+# Most (section count, epoch) pairs one stacked pass of ``scan_bases``
+# evaluates, so that its arrays stay a few hundred kB however many m a scan
+# covers.
+_SCAN_ROWS = 2048
+
+
+def scan_bases(times: np.ndarray, ms, p: int, placement: str, kept: list):
+    """The basis at ``times`` (finite, two or more unique) of each
+    section count in ``ms`` whose knots are not degenerate, in order, each
+    m appended to ``kept`` as its basis is drawn. Knots and local values
+    come from one stacked pass per block of ``_SCAN_ROWS`` pairs, bit for
+    bit ``build_knot_vector`` and ``eval_basis``; each dense basis is built
+    as it is drawn, so the caller can keep one alive at a time."""
+    unique, ms = np.unique(times), np.asarray(ms, dtype=int)
+    per = max(1, _SCAN_ROWS // times.size)
+    for block in (ms[i : i + per] for i in range(0, ms.size, per)):
+        knots, ok = _knot_rows(unique, block, p, placement)
+        if not ok.any():
+            continue
+        first, values, _ = _local_values(knots[ok], p, unique[-1], times, p)
+        for r, m in enumerate(block[ok].tolist()):
+            kept.append(m)
+            pairs = slice(r * times.size, (r + 1) * times.size)
+            yield BasisMatrix(values=_dense(first[pairs], values[1:-1, pairs], m + p),
+                              epochs=times)
 
 
 def eval_basis_derivative(kv: KnotVector, epochs) -> BasisMatrix:
@@ -175,9 +230,9 @@ def eval_basis_derivative(kv: KnotVector, epochs) -> BasisMatrix:
     t = np.atleast_1d(np.asarray(epochs, dtype=float))
     _check_domain(kv, t)
     p = kv.p
-    first, lower, near = _local_values(kv, t, p - 1)
+    first, lower, near = _local_values(kv.knots[None], p, kv.domain[1], t, p - 1)
     # Functions i = first-1..first+p-1: knots i, i+p, then i+1, i+p+1.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        values = (_term(p, near[:, p : 2 * p + 1] - near[:, : p + 1], lower[:, :-1])
-                  - _term(p, near[:, p + 1 :] - near[:, 1 : p + 2], lower[:, 1:]))
+        values = (_term(p, near[p : 2 * p + 1] - near[: p + 1], lower[:-1])
+                  - _term(p, near[p + 1 :] - near[1 : p + 2], lower[1:]))
     return BasisMatrix(values=_dense(first - 1, values, kv.n_bases), epochs=t)

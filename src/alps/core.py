@@ -1,17 +1,19 @@
 """Model fitting: scan section counts, select (m, lambda) by GCV, refit,
 and produce predictions, derivatives, and t-confidence bands.
 
-The scan hands the basis of each section count m = 1..n-1 to one lambda
-search, which diagonalizes each in turn and then scores all of them in
-lock-step. It keeps the configuration with the smallest GCV cost,
-preferring fewer sections on ties. The refit at the winning configuration
-caches the normal factorization so bands at new epochs never re-solve the
-fit.
+The scan places the knots and evaluates the basis of section counts
+m = 1..n-1 in one stacked pass per block of them, and hands the bases, one
+dense basis at a time, to one lambda search, which diagonalizes each in
+turn and then scores all of them in lock-step. It keeps the configuration
+with the smallest GCV cost, preferring fewer sections on ties. The refit
+at the winning configuration caches the normal factorization so bands at
+new epochs never re-solve the fit.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass
 
@@ -20,11 +22,17 @@ import scipy.linalg
 import scipy.special
 
 from ._blas import blas_threads_for
-from .basis import PLACEMENTS, KnotVector, build_knot_vector, eval_basis, eval_basis_derivative
+from .basis import (
+    PLACEMENTS,
+    KnotVector,
+    build_knot_vector,
+    eval_basis,
+    eval_basis_derivative,
+    scan_bases,
+)
 from .errors import (
     AlpsError,
     ConfigError,
-    DegenerateKnotsError,
     FitFailureError,
     InsufficientDataError,
     InvalidInputError,
@@ -48,6 +56,8 @@ STRIDE_THRESHOLD = 500
 M_SCANS = ("exhaustive", "strided")
 
 DEFAULT_ALPHA = 0.05
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -90,6 +100,9 @@ class FitMetadata:
     # for degenerate configurations.
     scan: tuple = ()
     ridged: bool = False
+    # lambda_hat equals the lambda grid's first or last point. Not saved in
+    # the model document.
+    lambda_at_grid_end: bool = False
 
 
 @dataclass(frozen=True)
@@ -148,16 +161,12 @@ def fit(data: TimeSeries, config: FitConfig = FitConfig()) -> AlpsModel:
     floor = _cost_zero_floor(y)
 
     def scan(ms):
-        """Rows (m, lambda_hat, cost), from one lambda search over all ms."""
-        knots = {}
-        for m in ms:
-            try:
-                knots[m] = build_knot_vector(times, m, p, placement)
-            except DegenerateKnotsError:
-                pass
-        designs = (eval_basis(kv, times) for kv in knots.values())
+        """Rows (m, lambda_hat, cost), from one lambda search over all ms;
+        an m whose knots are degenerate scores (nan, inf)."""
+        kept = []
+        designs = scan_bases(times, ms, p, placement, kept)
         lam, cost = minimize_gcv_lambda(designs, y, q, config.lambda_grid)
-        found = dict(zip(knots, zip(lam.tolist(), cost.tolist())))
+        found = dict(zip(kept, zip(lam.tolist(), cost.tolist())))
         return [(m, *found.get(m, (float("nan"), float("inf")))) for m in ms]
 
     if config.m_scan == "strided" and n > STRIDE_THRESHOLD:
@@ -177,12 +186,19 @@ def fit(data: TimeSeries, config: FitConfig = FitConfig()) -> AlpsModel:
             "every (m, lambda) configuration was degenerate", diagnostics=tuple(rows)
         )
 
+    lo, hi = config.lambda_grid.points()[[0, -1]]
+    at_end = lambda_hat in (lo, hi)
+    if at_end:
+        log.warning("lambda_hat=%g (m_hat=%d) sits on the %s end of the lambda grid [%g, %g]; "
+                    "GCV's minimum may lie beyond it", lambda_hat, m_hat,
+                    "lower" if lambda_hat == lo else "upper", lo, hi)
+
     kv = build_knot_vector(times, m_hat, p, placement)
     B = eval_basis(kv, times)
     result = fit_penalized(B, y, q, lambda_hat)
     meta = FitMetadata(
         gcv_cost=cost, placement=placement, n=n,
-        scan=tuple(rows), ridged=result.ridged,
+        scan=tuple(rows), ridged=result.ridged, lambda_at_grid_end=at_end,
     )
     return AlpsModel(
         knot_vector=kv, p=p, q=q, lambda_hat=lambda_hat, theta=result.theta,

@@ -4,7 +4,9 @@ Level 1 fits the full series and flags points whose residual exceeds the
 99% t-band scaled by threshold1. Level 2 refits without those points (full
 hyperparameter re-selection) and flags survivors beyond threshold2 times
 the new band. The final model is fit on the doubly cleaned series. Points
-flagged at level 1 are never reconsidered.
+flagged at level 1 are never reconsidered. A level that flags nothing does
+not refit: the next stage keeps the model it already has, which is the
+refit bit for bit.
 
 The flagging band is a prediction-type band: per-point standard deviation
 sigma_hat * sqrt(1 + q_i), where q_i is the fit-variance quadratic form.
@@ -82,13 +84,13 @@ def detect_and_refit(
 
     survivors = data.subset(~level1_mask)
     survivor_idx = indices[~level1_mask]
-    model2 = _fit_stage(survivors, config, level1, "level 2")
+    model2 = _fit_stage(survivors, config, level1, "level 2") if level1.size else model1
     level2_mask = _flag(model2, survivors, threshold2)
     level2 = survivor_idx[level2_mask]
 
     clean = survivors.subset(~level2_mask)
     flagged_all = np.concatenate((level1, level2))
-    final = _fit_stage(clean, config, flagged_all, "final fit")
+    final = _fit_stage(clean, config, flagged_all, "final fit") if level2.size else model2
     return OutlierReport(
         level1_indices=tuple(int(i) for i in level1),
         level2_indices=tuple(int(i) for i in level2),

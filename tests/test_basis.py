@@ -1,12 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from alps import basis
 from alps.basis import (
+    PLACEMENTS,
     KnotVector,
     build_knot_vector,
     eval_basis,
     eval_basis_derivative,
+    scan_bases,
 )
 from alps.errors import DegenerateKnotsError, InvalidInputError, OutOfDomainError
 
@@ -301,3 +306,70 @@ def test_nan_epoch_is_out_of_domain():
     kv = build_knot_vector(np.linspace(0, 1, 9), m=3, p=3)
     with pytest.raises(OutOfDomainError):
         eval_basis(kv, [0.5, np.nan])
+
+
+def knot_oracle(times, m, p, placement):
+    """Knots of one section count from one quantile call of its own, or None
+    where coincident knots exceed multiplicity p: the per-m placement the
+    stacked scan is checked against."""
+    unique = np.unique(times)
+    u0, um = unique[0], unique[-1]
+    if m == 1:
+        interior = np.empty(0)
+    elif placement == "quantile":
+        interior = np.quantile(unique, np.arange(1, m) / m, method="linear")
+    else:
+        interior = u0 + np.arange(1, m) * (um - u0) / m
+    domain = np.concatenate(([u0], interior, [um]))
+    if np.unique(domain, return_counts=True)[1].max() > p:
+        return None
+    step = (um - u0) / m
+    return np.concatenate((u0 - step * np.arange(p, 0, -1), domain,
+                           um + step * np.arange(1, p + 1)))
+
+
+@st.composite
+def scan_setup(draw):
+    """Rounded epochs, some repeated many times over, shifted so that some
+    quantiles collide; a degree, a placement, and a row budget that puts
+    block boundaries inside the m range."""
+    n = draw(st.integers(min_value=3, max_value=30))
+    decimals = draw(st.integers(min_value=0, max_value=2))
+    raw = draw(st.lists(st.floats(min_value=0.0, max_value=20.0), min_size=n, max_size=n))
+    repeats = draw(st.lists(st.integers(min_value=1, max_value=6), min_size=n, max_size=n))
+    # Gaps of a few ulps at 2000 make coincident knots, hence degenerate m.
+    scale = draw(st.sampled_from([1.0, 1e-12, 1e-13]))
+    times = np.sort(2000.0 + scale * np.repeat(np.round(np.array(raw), decimals), repeats))
+    p = draw(st.integers(min_value=2, max_value=4))
+    placement = draw(st.sampled_from(PLACEMENTS))
+    rows = draw(st.integers(min_value=1, max_value=times.size ** 2))
+    return times, p, placement, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(scan_setup())
+@example((SUBNORMAL_GAP_1[0], SUBNORMAL_GAP_1[2], "quantile", 15))
+@example((SUBNORMAL_GAP_2[0], SUBNORMAL_GAP_2[2], "quantile", 1))
+def test_stacked_scan_is_byte_equal_to_per_m_evaluation(setup):
+    # Every m = 1..n-1, so m runs past the unique epochs into degenerate knots.
+    times, p, placement, rows = setup
+    assume(np.unique(times).size >= 2)
+    ms = range(1, times.size)
+    kept = []
+    with mock.patch.object(basis, "_SCAN_ROWS", rows):
+        stacked = [B.values.tobytes() for B in scan_bases(times, ms, p, placement, kept)]
+    want_m, want = [], []
+    for m in ms:
+        knots = knot_oracle(times, m, p, placement)
+        if knots is None:
+            with pytest.raises(DegenerateKnotsError):
+                build_knot_vector(times, m, p, placement)
+            continue
+        kv = build_knot_vector(times, m, p, placement)
+        assert kv.knots.tobytes() == knots.tobytes()
+        values = eval_basis(kv, times).values.tobytes()
+        assert values == dense_recursion(kv, times, p).tobytes()
+        want_m.append(m)
+        want.append(values)
+    assert kept == want_m
+    assert stacked == want

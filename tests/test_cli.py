@@ -230,9 +230,14 @@ class TestOutliersCommand:
             return fit(data, config)
 
         monkeypatch.setattr(core, "fit", spy)
+        # Thresholds this low make both levels flag, so both refits run.
         result = run("outliers", data, "--m-scan", "strided",
+                     "--threshold1", 0.5, "--threshold2", 0.5,
                      "--flags-out", tmp_path / "flags.csv")
         assert result.exit_code == 0, result.output
+        with open(tmp_path / "flags.csv") as fh:
+            levels = {int(r["level"]) for r in csv.DictReader(fh)}
+        assert levels == {1, 2}
         assert scans == ["strided"] * 3
 
 
@@ -300,3 +305,22 @@ def test_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "s.csv"],
+    ["fit", ".", "--batch", "--out-dir", "models"],
+    ["outliers", "s.csv", "--flags-out", "flags.csv"],
+])
+def test_lambda_on_a_grid_end_is_a_warning_on_stderr(tmp_path, command):
+    # Criterion-5 seed 1 selects the default grid's lower end exactly.
+    series, _ = alps.synth.gramacy_lee_series(n=150, noise_sd=0.05, seed=1)
+    write_timeseries(tmp_path / "s.csv", series)
+    src = str(Path(alps.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "alps.cli", *command], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    warning = "WARNING:alps.core:lambda_hat=0.0001 (m_hat="
+    assert warning in proc.stderr and "lower end of the lambda grid" in proc.stderr
+    assert "WARNING" not in proc.stdout

@@ -1,4 +1,5 @@
 import inspect
+import logging
 
 import numpy as np
 import pytest
@@ -124,6 +125,24 @@ class TestFit:
         y = np.random.default_rng(0).normal(size=t.size)
         with pytest.raises(InsufficientDataError, match="distinct epochs"):
             core.fit(TimeSeries(t, y), core.FitConfig(q=q))
+
+    def test_lambda_on_a_grid_end_is_flagged_and_logged(self, caplog):
+        # Criterion-5 seed 1 selects the default grid's lower end exactly.
+        series, _ = gramacy_lee_series(n=150, noise_sd=0.05, seed=1)
+        with caplog.at_level(logging.WARNING, logger="alps.core"):
+            model = core.fit(series)
+        assert model.lambda_hat == LambdaGrid().lo and model.fit_metadata.lambda_at_grid_end
+        [record] = caplog.records
+        assert record.levelname == "WARNING" and "lower end" in record.getMessage()
+        assert "lambda_at_grid_end" not in core.model_to_dict(model)
+
+    def test_grid_end_flag_names_only_the_ends(self, linear_model, noisy_model):
+        # A noiseless line ties every lambda and keeps the largest.
+        assert linear_model.lambda_hat == LambdaGrid().hi
+        assert linear_model.fit_metadata.lambda_at_grid_end
+        _, model = noisy_model
+        assert LambdaGrid().lo < model.lambda_hat < LambdaGrid().hi
+        assert not model.fit_metadata.lambda_at_grid_end
 
     def test_strided_flag_equals_exhaustive_below_threshold(self, linear_series):
         a = core.fit(linear_series, core.FitConfig(m_scan="exhaustive"))

@@ -100,3 +100,47 @@ class TestDetectAndRefit:
                 "final fit",
             )
         assert err.value.flagged_so_far == (8, 9, 10, 11)
+
+
+def forced_refits(data):
+    """The two-pass rejection with a refit after every level, whether it
+    flagged anything or not: the oracle the skipped refits are checked
+    against. Returns both flag tuples and the final model."""
+    indices = np.arange(len(data))
+    model1 = core.fit(data)
+    mask1 = outliers._flag(model1, data, outliers.DEFAULT_THRESHOLD1)
+    survivors = data.subset(~mask1)
+    model2 = core.fit(survivors)
+    mask2 = outliers._flag(model2, survivors, outliers.DEFAULT_THRESHOLD2)
+    final = core.fit(survivors.subset(~mask2))
+    return tuple(indices[mask1]), tuple(indices[~mask1][mask2]), final
+
+
+def one_level2_spike():
+    """A sine with a 5-sigma spike at index 20, which only level 2 flags."""
+    rng = np.random.default_rng(1)
+    t = np.sort(rng.uniform(2000, 2010, 40))
+    y = np.sin(t) + rng.normal(0, 0.1, t.size)
+    y[20] += 0.5
+    return TimeSeries(t, y)
+
+
+class TestRefitSkip:
+    @pytest.mark.parametrize("series, levels, fits", [
+        (TimeSeries(np.linspace(2000, 2010, 25), np.linspace(1.0, 4.0, 25)), ((), ()), 1),
+        (one_level2_spike(), ((), (20,)), 2),
+    ])
+    def test_a_level_that_flags_nothing_does_not_refit(self, monkeypatch, series, levels,
+                                                       fits):
+        want1, want2, want_final = forced_refits(series)
+        calls, fit = [], core.fit
+
+        def spy(data, config):
+            calls.append(len(data))
+            return fit(data, config)
+
+        monkeypatch.setattr(core, "fit", spy)
+        report = outliers.detect_and_refit(series)
+        assert (report.level1_indices, report.level2_indices) == levels == (want1, want2)
+        assert len(calls) == fits
+        assert core.model_to_dict(report.final_model) == core.model_to_dict(want_final)
