@@ -1,7 +1,7 @@
 """One BLAS thread for the library's small systems, scoped and restored.
 
-A fit makes hundreds of Gram products and generalized ``eigh`` calls, one
-per section count, on c x c systems. While c is small, OpenBLAS's hand-off
+A fit makes hundreds of Gram products, Cholesky factors and ``eigh``
+calls, one set per section count, on systems of at most c x c. While c is small, OpenBLAS's hand-off
 to its worker threads costs more than the extra threads save; for large c
 the threads pay off. ``blas_threads_for(c)`` gives a scope that sets every
 OpenBLAS loaded in the process to one thread for systems of at most

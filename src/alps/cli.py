@@ -19,7 +19,7 @@ from . import baselines, core, fusion, outliers, synth
 from .basis import PLACEMENTS
 from .errors import AlpsError, ConfigError, ParseError, exit_code_for
 from .solver import LambdaGrid
-from .timeseries import FLOAT_FMT, TimeSeries, read_timeseries, write_timeseries
+from .timeseries import FLOAT_FMT, TimeSeries, read_timeseries, write_columns, write_timeseries
 
 
 def _error_line(exc: AlpsError) -> str:
@@ -67,12 +67,8 @@ def _fit_config(p, q, placement, lambda_lo, lambda_hi, lambda_num, m_scan) -> co
 
 
 def _write_band(path, band: core.PredictionBand) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean", "std", "ci_lo", "ci_hi"])
-        for t, m, s, lo, hi in zip(band.epochs, band.mean, band.std,
-                                   band.lower, band.upper):
-            writer.writerow([FLOAT_FMT.format(v) for v in (t, m, s, lo, hi)])
+    write_columns(path, ["epoch", "mean", "std", "ci_lo", "ci_hi"],
+                  [band.epochs, band.mean, band.std, band.lower, band.upper])
 
 
 def _report_lines(model: core.AlpsModel) -> list[str]:

@@ -40,7 +40,6 @@ from .errors import (
 )
 from .solver import (
     LambdaGrid,
-    _cost_zero_floor,
     best_columns,
     fit_penalized,
     minimize_gcv_lambda,
@@ -158,7 +157,6 @@ def fit(data: TimeSeries, config: FitConfig = FitConfig()) -> AlpsModel:
     distinct = np.unique(times).size
     if distinct < max(2, q):
         raise InsufficientDataError(f"need max(2, q) = {max(2, q)} distinct epochs, got {distinct}")
-    floor = _cost_zero_floor(y)
 
     def scan(ms):
         """Rows (m, lambda_hat, cost), from one lambda search over all ms;
@@ -172,7 +170,7 @@ def fit(data: TimeSeries, config: FitConfig = FitConfig()) -> AlpsModel:
     if config.m_scan == "strided" and n > STRIDE_THRESHOLD:
         stride = math.ceil(n / 100)
         rows = scan(range(1, n, stride))
-        best_m = _select(rows, floor)[0]
+        best_m = _select(rows)[0]
         seen = {m for m, _, _ in rows}
         refine = [m for m in range(max(1, best_m - stride), min(n - 1, best_m + stride) + 1)
                   if m not in seen]
@@ -180,7 +178,7 @@ def fit(data: TimeSeries, config: FitConfig = FitConfig()) -> AlpsModel:
     else:
         rows = scan(range(1, n))
 
-    m_hat, lambda_hat, cost = _select(rows, floor)
+    m_hat, lambda_hat, cost = _select(rows)
     if not np.isfinite(cost):
         raise FitFailureError(
             "every (m, lambda) configuration was degenerate", diagnostics=tuple(rows)
@@ -207,11 +205,11 @@ def fit(data: TimeSeries, config: FitConfig = FitConfig()) -> AlpsModel:
     )
 
 
-def _select(rows, floor):
+def _select(rows):
     """Least cost over rows sorted by m; ties keep the smaller m. With no
     finite cost this is rows[0], which the search left at (m, nan, inf)."""
     ms, _, costs = zip(*rows)
-    return rows[best_columns(np.array([costs]), np.array([ms], dtype=float), floor, -1)[0]]
+    return rows[best_columns(np.array([costs]), np.array([ms], dtype=float), -1)[0]]
 
 
 def _mean_and_quad(model: AlpsModel, basis):

@@ -3,16 +3,19 @@ search.
 
 The normal matrix ``A = B'B + lam D'D`` is always handled through a symmetric
 positive-definite factorization, never an explicit inverse. The lambda
-search runs in two phases. First each design's pencil ``(D'D, B'B + D'D)``
-is diagonalized once (``gcv_profile``), after which a GCV cost is O(c)
-arithmetic on the eigenvalues. Then ``search_lambda`` scores a whole stack of
-profiles in lock-step as arrays: every grid point of every row, then the
+search runs in two phases. First each design is diagonalized once in data
+space (``gcv_profile``): rows at one epoch are merged, so a design of r
+distinct epochs and c columns costs one Cholesky factor and one standard
+``eigh`` of size min(r, c), after which a GCV cost is O(min(r, c))
+arithmetic on the eigenvalues. Then ``search_lambda`` scores a whole stack
+of profiles in lock-step as arrays: every grid point of every row, then the
 golden-section steps of all rows together. ``minimize_gcv_lambda`` runs
 both phases for one design or for a sequence of them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -148,64 +151,98 @@ def _gcv_cost(rss, tr_h, n):
         return np.where(denom < GCV_DENOM_FLOOR, np.inf, np.maximum(rss, 0.0) / denom**2)
 
 
-def _cost_zero_floor(y: np.ndarray) -> float:
-    # Residual sums of squares at or below this level are floating-point
-    # noise from an exact reproduction; such costs are treated as ties so
-    # the smoothness/parsimony tie-breaks can act on them.
-    return 1e-24 * max(float(y @ y), 1.0)
-
-
-def best_columns(cost: np.ndarray, key: np.ndarray, floor: float, sign: int) -> np.ndarray:
+def best_columns(cost: np.ndarray, key: np.ndarray, sign: int) -> np.ndarray:
     """Index of each row's best column, scanning left to right: a finite
     cost displaces the incumbent when smaller and not tied with it, or tied
-    with a larger ``sign * key``. Costs tie when the larger is at most
-    ``floor`` or they differ by at most COST_TIE_RTOL of the larger."""
+    with a larger ``sign * key``. Costs tie when they differ by at most
+    COST_TIE_RTOL of the larger."""
     rows, best = np.arange(cost.shape[0]), np.zeros(cost.shape[0], dtype=np.intp)
     with np.errstate(invalid="ignore"):
         for j in range(1, cost.shape[1]):
             c, b = cost[:, j], cost[rows, best]
-            hi = np.maximum(c, b)
-            tied = (hi <= floor) | (np.abs(c - b) <= COST_TIE_RTOL * hi)
+            tied = np.abs(c - b) <= COST_TIE_RTOL * np.maximum(c, b)
             wins = np.where(tied, sign * key[:, j] > sign * key[rows, best], c < b)
             best = np.where(np.isfinite(c) & (~np.isfinite(b) | wins), j, best)
     return best
 
 
 class GcvProfile(NamedTuple):
-    """One design's GCV against lambda, O(c) per cost. With mu the pencil
-    (D'D, B'B + D'D)'s eigenvalues in [0, 1], z B'y's coordinates in its
-    eigenvectors, g = 1 - mu, d = 1/(g + lam mu), e = lam mu d: tr(H) is
-    sum g d and rss = r0 + sum(w e^2 - v d (1 + e)); w = z^2/g and v = 0
-    off B'B's null space, w = 0 and v = z^2 on it, r0 = y'y - sum w. No
+    """One design's GCV against lambda, O(min(r, c)) per cost. The
+    design's r distinct epochs give rows B_u (an epoch's row times the
+    square root of its count) and ys (an epoch's sum of y over that root),
+    so that B_u'B_u = B'B and B_u'ys = B'y. With L the Cholesky factor of
+    B_u'B_u + D'D and X = L^-1 B_u', g = 1 - mu are the eigenvalues of the
+    smaller of X'X and XX', z ys's coordinates in X'X's eigenvectors for
+    them, d = 1/(g + lam mu), e = lam mu d: tr(H) is sum g d and
+    rss = r0 + sum w e^2, w = z^2, r0 = y'y - sum w. The directions this
+    leaves out have g = 0 and add nothing to either sum. No
     lambda-dependent term cancels against y'y, so shifting y moves lambda
-    by rounding only. mu is None where the pencil is not definite (fewer
-    than q distinct epochs, which ``core.fit`` rejects): such a profile
-    scores +inf at every lambda."""
+    by rounding only. An rss at or below ``zero`` is rounding of y'y and
+    scores 0. mu is None where B_u'B_u + D'D is not definite (fewer than q
+    distinct epochs, which ``core.fit`` rejects): such a profile scores
+    +inf at every lambda."""
 
     mu: np.ndarray | None
     w: np.ndarray | None = None
-    v: np.ndarray | None = None
     r0: float = 0.0
+    zero: float = 0.0
 
 
-# Directions with g = 1 - mu at or below this count as B'B's null space: z
-# is rounding noise there, and z^2/g would amplify it.
+# With more epochs than columns, z comes from XX''s eigenvectors V as
+# V'X ys / sqrt(g). Directions with g at or below this lie in B'B's null
+# space, where V'X ys is rounding noise that the division would amplify:
+# they get w = 0, which is their exact share of rss and tr(H).
 _NULL_G = 1e-12
 
+# y'y - sum w rounds to within about 25 ulps of y'y when y is reproduced
+# exactly (splines in the basis, c up to 150). An rss at or below this
+# fraction of y'y, some 20 times higher, counts as such a reproduction:
+# it scores 0, so those configurations tie and the tie rule picks among
+# them rather than the sign of the rounding.
+_RSS_ROUNDING = 1e-13
 
-def gcv_profile(B, y, q: int) -> GcvProfile:
-    """Diagonalize one design's pencil (in the caller's BLAS scope)."""
-    Bv = _design(B)
-    D = difference_matrix(q, Bv.shape[1])
-    K, G = D.T @ D, Bv.T @ Bv
+
+def gcv_profile(Bu: np.ndarray, ys: np.ndarray, yy: float, q: int) -> GcvProfile:
+    """Diagonalize one design from its distinct-epoch rows ``Bu``, the
+    matching ``ys`` and y'y (in the caller's BLAS scope)."""
+    r, c = Bu.shape
+    D = difference_matrix(q, c)
+    G = Bu.T @ Bu
+    # LAPACK directly: at these sizes the checked wrappers cost as much as
+    # the factorization. info > 0 is a factor that is not definite.
+    L, info = scipy.linalg.lapack.dpotrf(G + D.T @ D, lower=1, clean=0)
+    if info:
+        return GcvProfile(None)
+    solve = functools.partial(scipy.linalg.lapack.dtrtrs, L, lower=1)
     try:
-        mu, W = scipy.linalg.eigh(K, G + K)
+        if r <= c:
+            X = solve(Bu.T)[0]
+            g, U = scipy.linalg.eigh(X.T @ X, check_finite=False, driver="evd")
+            w = (ys @ U) ** 2
+        else:
+            # XX' as L^-1 G L^-T: c^3 work where X itself would cost c^2 r.
+            XXt = solve(solve(G)[0].T)[0]
+            g, V = scipy.linalg.eigh(XXt, check_finite=False, driver="evd")
+            z2, null = (solve(Bu.T @ ys)[0] @ V) ** 2, g <= _NULL_G
+            w = np.where(null, 0.0, z2 / np.where(null, 1.0, g))
     except scipy.linalg.LinAlgError:
         return GcvProfile(None)
-    mu = np.clip(mu, 0.0, 1.0)
-    z2, null = (W.T @ (Bv.T @ y)) ** 2, mu >= 1.0 - _NULL_G
-    w = np.where(null, 0.0, z2 / np.where(null, 1.0, 1.0 - mu))
-    return GcvProfile(mu, w, np.where(null, z2, 0.0), float(y @ y) - math.fsum(w))
+    return GcvProfile(1.0 - np.clip(g, 0.0, 1.0), w, yy - math.fsum(w), _RSS_ROUNDING * yy)
+
+
+def _distinct_rows(epochs, y: np.ndarray):
+    """(merge, ys): ``merge`` maps a design's rows at ``epochs`` to one row
+    per distinct epoch times the square root of its count, and ys holds
+    each epoch's sum of y over that root. Without epochs (a raw array's
+    rows count as distinct), or when no epoch repeats, merge returns the
+    design itself and ys is y."""
+    if epochs is not None:
+        _, first, inverse, counts = np.unique(
+            epochs, return_index=True, return_inverse=True, return_counts=True)
+        if first.size < y.size:
+            root = np.sqrt(counts)
+            return (lambda Bv: Bv[first] * root[:, None]), np.bincount(inverse, weights=y) / root
+    return (lambda Bv: Bv), y
 
 
 # Most padded entries (width x rows x lambdas) scored at once: 128 kB per
@@ -225,20 +262,21 @@ def _scorer(profiles, n: int, k: int):
     widest = max((profiles[r].mu.size for r in eigen), default=1)
     per, blocks = max(1, _BLOCK // (widest * k)), []
     for rows in (eigen[i : i + per] for i in range(0, len(eigen), per)):
-        padded = np.zeros((4, max(profiles[r].mu.size for r in rows), len(rows), 1))
-        for i, (mu, w, v, _) in enumerate(profiles[r] for r in rows):
-            padded[:, : mu.size, i, 0] = mu, 1.0 - mu, w, v
-        blocks.append((rows, padded, np.array([[profiles[r].r0] for r in rows])))
+        padded = np.zeros((3, max(profiles[r].mu.size for r in rows), len(rows), 1))
+        for i, (mu, w, *_) in enumerate(profiles[r] for r in rows):
+            padded[:, : mu.size, i, 0] = mu, 1.0 - mu, w
+        blocks.append((rows, padded, np.array([profiles[r][2:] for r in rows]).T[..., None]))
 
     def costs(lam: np.ndarray) -> np.ndarray:
         out = np.full(lam.shape, np.inf)
-        for rows, (mu, g, w, v), r0 in blocks:
+        for rows, (mu, g, w), (r0, zero) in blocks:
             lam_b = lam[rows]
             d = 1.0 / (1.0 + (lam_b - 1.0) * mu)
             e = lam_b * mu * d
-            terms = np.stack((g * d, w * e * e - v * d * (1.0 + e)), axis=1)
+            terms = np.stack((g * d, w * e * e), axis=1)
             tr_h, delta = np.add.reduce(terms, axis=0)
-            out[rows] = _gcv_cost(r0 + delta, tr_h, n)
+            rss = r0 + delta
+            out[rows] = _gcv_cost(np.where(rss <= zero, 0.0, rss), tr_h, n)
         return out
 
     return costs
@@ -249,27 +287,28 @@ def _each(f, x: np.ndarray) -> np.ndarray:
     return np.array([f(v) for v in x])
 
 
-def search_lambda(profiles, y: np.ndarray, points: np.ndarray):
+def search_lambda(profiles, n: int, points: np.ndarray):
     """Lambda search of every profile at once: all grid ``points``, then a
     fixed-iteration golden section on log-lambda between the best grid
     point's neighbours. The least cost scored wins, ties (``best_columns``)
-    the larger lambda. Arrays (lambda_hat, cost); (nan, inf) if degenerate."""
-    rows, floor = np.arange(len(profiles)), _cost_zero_floor(y)
+    the larger lambda. Arrays (lambda_hat, cost); (nan, inf) if degenerate.
+    ``n`` is the number of observations behind the profiles."""
+    rows = np.arange(len(profiles))
     lam = np.broadcast_to(points, (rows.size, points.size))
-    cost = _scorer(profiles, y.size, points.size)(lam)
-    best = best_columns(cost, lam, floor, 1)
+    cost = _scorer(profiles, n, points.size)(lam)
+    best = best_columns(cost, lam, 1)
     lo, hi = points[np.maximum(best - 1, 0)], points[np.minimum(best + 1, points.size - 1)]
     # Rows with a finite grid cost and a bracket of positive width refine.
     active = np.flatnonzero(np.isfinite(cost).any(axis=1) & (hi > lo))
     if active.size:
         lam_g = np.full((rows.size, 2 + _REFINE_ITERS), np.inf)
         cost_g = np.full_like(lam_g, np.inf)
-        costs = _scorer([profiles[r] for r in active], y.size, 1)
+        costs = _scorer([profiles[r] for r in active], n, 1)
         lam_g[active], cost_g[active] = _golden_section(costs, lo[active], hi[active])
         lam, cost = np.hstack((lam, lam_g)), np.hstack((cost, cost_g))
         order = np.lexsort((cost, lam))
         lam, cost = np.take_along_axis(lam, order, 1), np.take_along_axis(cost, order, 1)
-    pick = best_columns(cost, lam, floor, 1)
+    pick = best_columns(cost, lam, 1)
     lam, cost = lam[rows, pick], cost[rows, pick]
     return np.where(np.isfinite(cost), lam, np.nan), np.where(np.isfinite(cost), cost, np.inf)
 
@@ -302,17 +341,25 @@ def minimize_gcv_lambda(B, y, q: int, grid: LambdaGrid = LambdaGrid()):
     ``search_lambda`` searches all of them together. The result is then
     arrays (lambda_hat, cost), one entry per design, (nan, inf) where every
     candidate is degenerate; each entry equals the one-design search.
+
+    A ``BasisMatrix``'s rows are merged by epoch before diagonalizing (rows
+    at one epoch are equal); designs that share one epochs array share the
+    merge.
     """
     y = np.asarray(y, dtype=float)
-    one = isinstance(B, (BasisMatrix, np.ndarray))
-    profiles = []
-    for Bv in map(_design, [B] if one else B):
+    yy, one = float(y @ y), isinstance(B, (BasisMatrix, np.ndarray))
+    profiles, epochs, (merge, ys) = [], None, _distinct_rows(None, y)
+    for design in [B] if one else B:
+        Bv = _design(design)
+        at = design.epochs if isinstance(design, BasisMatrix) else None
+        if at is not epochs:
+            epochs, (merge, ys) = at, _distinct_rows(at, y)
         with blas_threads_for(Bv.shape[1]):
-            profiles.append(gcv_profile(Bv, y, q))
+            profiles.append(gcv_profile(merge(Bv), ys, yy, q))
         # Drop it before the next is drawn: with two large designs alive at
         # once, a strided n = 1500 fit peaked 50 MB higher.
-        del Bv
-    lam, cost = search_lambda(profiles, y, grid.points())
+        del design, Bv
+    lam, cost = search_lambda(profiles, y.size, grid.points())
     if not one:
         return lam, cost
     if not np.isfinite(cost[0]):

@@ -79,7 +79,8 @@ def test_finds_every_loaded_openblas():
 
 
 def _spy_on_eigh(monkeypatch):
-    """Record (c, counts) at every generalized eigh of the lambda search."""
+    """Record (size, counts) at every eigh of the lambda search; the size
+    is c on these distinct epochs until m nears n."""
     inside = []
     eigh = scipy.linalg.eigh
 

@@ -6,7 +6,7 @@ import pytest
 import scipy.stats
 from hypothesis import assume, given, settings, strategies as st
 
-from alps import core
+from alps import core, solver
 from alps.basis import build_knot_vector, eval_basis
 from alps.errors import (
     ConfigError,
@@ -100,6 +100,21 @@ class TestFit:
             B = eval_basis(build_knot_vector(series.times, m, 4), series.times)
             assert (lam, cost) == minimize_gcv_lambda(B, series.values, 2)
 
+    def test_every_scan_row_is_the_one_design_search_on_repeated_epochs(self):
+        # Campaign dates repeated three times, then a sparse tail: the scan
+        # merges rows by epoch once for every m, the one-design search per
+        # basis, and both must give the same bits.
+        rng = np.random.default_rng(8)
+        dates = np.sort(rng.uniform(2003.0, 2009.0, 20))
+        t = np.concatenate((np.repeat(dates, 3), np.sort(rng.uniform(2010.0, 2015.0, 8))))
+        y = np.sin(t) + rng.normal(0.0, 0.1, t.size)
+        model = core.fit(TimeSeries(t, y))
+        rows = model.fit_metadata.scan
+        assert [m for m, _, _ in rows] == list(range(1, t.size))
+        for m, lam, cost in rows:
+            B = eval_basis(build_knot_vector(t, m, 4), t)
+            assert (lam, cost) == minimize_gcv_lambda(B, y, 2)
+
     def test_degenerate_rows_and_selection(self):
         # Epochs one and two ulps above 1.0: from m = 10 on, quantile knots
         # coincide beyond the degree, and those rows are degenerate.
@@ -112,10 +127,10 @@ class TestFit:
             [10] + list(range(12, 20))
         assert all(np.isfinite(lam) for _, lam, cost in rows if np.isfinite(cost))
         assert (model.m_hat, model.lambda_hat, model.fit_metadata.gcv_cost) in rows
-        assert core._select([(1, np.nan, np.inf), (2, np.nan, np.inf)], 0.0)[0] == 1
-        assert core._select([(1, 0.5, 2.0), (2, 0.1, 2.0 * (1 - 1e-13)), (3, 1.0, 1.0)],
-                            0.0) == (3, 1.0, 1.0)
-        assert core._select([(1, 0.5, 2.0), (2, 0.1, 2.0 * (1 - 1e-13))], 0.0)[0] == 1
+        assert core._select([(1, np.nan, np.inf), (2, np.nan, np.inf)])[0] == 1
+        assert core._select([(1, 0.5, 2.0), (2, 0.1, 2.0 * (1 - 1e-13)), (3, 1.0, 1.0)]) == \
+            (3, 1.0, 1.0)
+        assert core._select([(1, 0.5, 2.0), (2, 0.1, 2.0 * (1 - 1e-13))])[0] == 1
 
     @pytest.mark.parametrize("epochs, q", [([2000.0, 2001.0], 3), ([2000.0], 2), ([2000.0], 1)])
     def test_fewer_distinct_epochs_than_max_2_q_is_insufficient_data(self, epochs, q):
@@ -175,12 +190,14 @@ def test_enough_distinct_epochs_give_definite_pencils_and_df_res_in_range(case):
     # From max(2, q) distinct epochs on, every scan row's pencil is definite
     # and the fit's residual degrees of freedom lie in (0, n].
     t, y, config = case
+    merge, ys = solver._distinct_rows(t, y)
     for m in range(1, t.size):
         try:
             kv = build_knot_vector(t, m, config.p, config.placement)
         except DegenerateKnotsError:
             continue
-        assert gcv_profile(eval_basis(kv, t), y, config.q).mu is not None
+        Bu = merge(eval_basis(kv, t).values)
+        assert gcv_profile(Bu, ys, float(y @ y), config.q).mu is not None
     model = core.fit(TimeSeries(t, y), config)
     assert 0 < model.df_res <= t.size
 

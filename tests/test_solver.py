@@ -67,6 +67,14 @@ def residual_df(H):
     return float(n - 2.0 * np.trace(H) + np.sum(H * H))
 
 
+def profile(B, y, q):
+    """gcv_profile of a design, its rows merged by epoch as
+    minimize_gcv_lambda merges them."""
+    y = np.asarray(y, dtype=float)
+    merge, ys = solver._distinct_rows(getattr(B, "epochs", None), y)
+    return gcv_profile(merge(solver._design(B)), ys, float(y @ y), q)
+
+
 def error_variance(y, B, theta, df_res):
     """Unbiased residual variance ||y - B theta||^2 / df_res."""
     if df_res <= 0:
@@ -169,8 +177,9 @@ class TestGcvScore:
         times, kv, B = uniform_design(n=30, m=5, p=3)
         theta = rng.normal(size=kv.n_bases)
         y = B.values @ theta  # exactly representable
-        # The profile's rss starts from y'y - sum(w): rounding of y'y remains.
-        assert profile_cost(B, y, 2, 1e-12) < 1e-12 * (y @ y)
+        # The profile's rss starts from y'y - sum(w), and an rss within
+        # rounding of y'y scores 0.
+        assert profile_cost(B, y, 2, 1e-12) == 0.0
 
     def test_interpolation_limit_is_inf(self):
         times = np.array([0.0, 1.0])
@@ -359,32 +368,34 @@ class TestTieRule:
 
     def test_smaller_cost_wins(self):
         cost, key = np.array([[2.0, 1.0, 3.0]]), np.array([[1.0, 2.0, 3.0]])
-        assert best_columns(cost, key, 0.0, 1)[0] == 1
+        assert best_columns(cost, key, 1)[0] == 1
 
     def test_lambda_tie_goes_to_the_larger_lambda(self):
         cost = np.array([[1.0, 1.0 + 0.3 * COST_TIE_RTOL, 1.0 - 0.3 * COST_TIE_RTOL]])
         key = np.array([[1.0, 3.0, 2.0]])
-        assert best_columns(cost, key, 0.0, 1)[0] == 1
+        assert best_columns(cost, key, 1)[0] == 1
 
-    def test_costs_at_the_zero_floor_tie(self):
+    def test_tiny_costs_compare_by_value(self):
+        # There is no absolute floor: costs far below any rounding level
+        # tie only by the relative rule.
         cost, key = np.array([[1e-30, 5e-30]]), np.array([[1.0, 2.0]])
-        assert best_columns(cost, key, 1e-24, 1)[0] == 1
-        assert best_columns(cost, key, 0.0, 1)[0] == 0
+        assert best_columns(cost, key, 1)[0] == 0
+        assert best_columns(np.array([[1e-30, 1e-30]]), key, 1)[0] == 1
 
     def test_m_tie_keeps_the_smaller_m(self):
         cost = np.array([[2.0, 2.0 * (1 - 0.5 * COST_TIE_RTOL), 2.0 * (1 - 0.9 * COST_TIE_RTOL)]])
         key = np.array([[3.0, 4.0, 5.0]])
-        assert best_columns(cost, key, 0.0, -1)[0] == 0
+        assert best_columns(cost, key, -1)[0] == 0
 
     def test_infinite_costs_never_win(self):
         cost = np.array([[np.inf, 5.0, np.inf], [np.inf, np.inf, np.inf]])
         key = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
-        assert list(best_columns(cost, key, 0.0, 1)) == [1, 0]
+        assert list(best_columns(cost, key, 1)) == [1, 0]
 
     def test_rows_are_independent(self):
         cost = np.array([[1.0, 1.0], [2.0, 1.0]])
         key = np.array([[1.0, 2.0], [1.0, 2.0]])
-        assert list(best_columns(cost, key, 0.0, -1)) == [0, 1]
+        assert list(best_columns(cost, key, -1)) == [0, 1]
 
 
 def _profiles(n=60, ms=(1, 4, 9, 20, 33, 58), seed=3):
@@ -392,7 +403,7 @@ def _profiles(n=60, ms=(1, 4, 9, 20, 33, 58), seed=3):
     times = np.sort(rng.uniform(0, 10, n))
     y = np.sin(times) + rng.normal(0, 0.3, n)
     designs = [eval_basis(build_knot_vector(times, m, 4), times) for m in ms]
-    return y, designs, [gcv_profile(B, y, 2) for B in designs]
+    return y, designs, [profile(B, y, 2) for B in designs]
 
 
 class TestSearchLambda:
@@ -401,10 +412,10 @@ class TestSearchLambda:
         # batch and in a batch padded to c = 62 sum over different shapes.
         y, designs, profiles = _profiles()
         points = LambdaGrid().points()
-        together = search_lambda(profiles, y, points)
-        reversed_ = search_lambda(profiles[::-1], y, points)
+        together = search_lambda(profiles, y.size, points)
+        reversed_ = search_lambda(profiles[::-1], y.size, points)
         for i, (B, profile) in enumerate(zip(designs, profiles)):
-            alone = search_lambda([profile], y, points)
+            alone = search_lambda([profile], y.size, points)
             assert (alone[0][0], alone[1][0]) == (together[0][i], together[1][i])
             assert (alone[0][0], alone[1][0]) == (reversed_[0][-1 - i], reversed_[1][-1 - i])
             assert (alone[0][0], alone[1][0]) == minimize_gcv_lambda(B, y, 2)
@@ -413,7 +424,7 @@ class TestSearchLambda:
         times = np.array([0.0, 1.0])
         B = eval_basis(build_knot_vector(times, m=1, p=2), times)
         y = np.array([0.0, 1.0])
-        lam, cost = search_lambda([gcv_profile(B, y, 2)], y, LambdaGrid().points())
+        lam, cost = search_lambda([profile(B, y, 2)], y.size, LambdaGrid().points())
         assert np.isnan(lam[0]) and cost[0] == np.inf
 
     def test_rows_without_a_bracket_are_not_refined(self, monkeypatch):
@@ -429,7 +440,7 @@ class TestSearchLambda:
         monkeypatch.setattr(solver, "_scorer", spy)
         points = LambdaGrid().points()
         rows = [profiles[0], GcvProfile(None)]
-        lam, cost = search_lambda(rows, y, points)
+        lam, cost = search_lambda(rows, y.size, points)
         assert [(len(batch), k) for batch, k in scored] == [(2, points.size), (1, 1)]
         assert scored[1][0][0] is profiles[0]
         assert np.isfinite(cost[0]) and np.isnan(lam[1]) and cost[1] == np.inf
@@ -483,6 +494,70 @@ class TestSearchLambda:
         lam, cost = minimize_gcv_lambda(iter(designs), y, 2)
         assert np.isnan(lam).all() and (cost == np.inf).all()
         for B in designs:
-            assert gcv_profile(B, y, 2).mu is None
+            assert profile(B, y, 2).mu is None
             with pytest.raises(NoValidLambdaError):
                 minimize_gcv_lambda(B, y, 2)
+
+
+def _repeated(dates, repeats, lo=0.0, span=1.0, seed=0):
+    """Sorted epochs: ``dates`` distinct dates in [lo, lo + span], each
+    ``repeats`` times."""
+    rng = np.random.default_rng(seed)
+    return np.repeat(np.sort(lo + span * rng.uniform(0.0, 1.0, dates)), repeats)
+
+
+# (epochs, m, p, q, constant y or None for a noisy sine[, placement]): r
+# distinct epochs against c = m + p columns, and inputs at the edges of
+# what fit accepts.
+PROFILE_CASES = {
+    "r>c": (_repeated(40, 1), 8, 4, 2, None),
+    "r<c": (_repeated(10, 3), 12, 3, 2, None),
+    "r=c": (_repeated(12, 2), 9, 3, 2, None),
+    "n=p+2": (_repeated(6, 1), 3, 4, 2, None),
+    "two epochs, q=2": (_repeated(2, 4), 2, 3, 2, None),
+    "three epochs, q=3": (_repeated(3, 3), 4, 4, 3, None),
+    "offset 1e6, span 1e-3": (_repeated(15, 2, lo=1e6, span=1e-3), 10, 4, 2, None),
+    "offset 1e6, span 1e-3, r>c": (_repeated(30, 1, lo=1e6, span=1e-3), 6, 4, 1, None),
+    "constant y": (_repeated(10, 3), 12, 3, 2, 7.0),
+    "constant y, r>c": (_repeated(40, 1), 8, 4, 2, -3.5),
+    "basis functions without data, r>c": (
+        np.concatenate((_repeated(30, 1, span=0.3), _repeated(30, 1, lo=0.7, span=0.3))),
+        20, 3, 2, None, "equidistant"),
+}
+
+
+class TestProfileAgainstTheDenseOracle:
+    @pytest.mark.parametrize("case", PROFILE_CASES)
+    def test_costs_match_gcv_score(self, case):
+        # Rows merged by epoch change the eigenproblem, not the costs: they
+        # match the direct n-row Cholesky oracle. Where y is reproduced
+        # exactly the profile scores 0 and the oracle rounding noise.
+        t, m, p, q, level, *placement = PROFILE_CASES[case]
+        rng = np.random.default_rng(1)
+        y = np.sin(2 * np.pi * (t - t[0]) / np.ptp(t)) + rng.normal(0.0, 0.1, t.size) \
+            if level is None else np.full(t.size, level)
+        B = eval_basis(build_knot_vector(t, m, p, *placement), t)
+        pr = profile(B, y, q)
+        assert pr.mu.size == min(np.unique(t).size, m + p)
+        lams = np.geomspace(1e-3, 1e3, 7)
+        costs = solver._scorer([pr], y.size, lams.size)(lams[None])[0]
+        direct = [gcv_score(B, y, q, lam) for lam in lams]
+        np.testing.assert_allclose(costs, direct, rtol=1e-9, atol=1e-12 * float(y @ y))
+
+    def test_repeated_epochs_shrink_every_eigh_to_r(self, monkeypatch):
+        # On 20 dates x 3 repeats plus a sparse tail of 8 (r = 28 of
+        # n = 68), every section count's one eigh is at most r x r.
+        sizes, eigh = [], scipy.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return eigh(a, *args, **kwargs)
+
+        rng = np.random.default_rng(8)
+        t = np.concatenate((_repeated(20, 3, lo=2003.0, span=6.0), 2010.0 + np.arange(8.0)))
+        y = np.sin(t) + rng.normal(0.0, 0.1, t.size)
+        monkeypatch.setattr(scipy.linalg, "eigh", spy)
+        minimize_gcv_lambda((eval_basis(build_knot_vector(t, m, 4), t) for m in range(1, t.size)),
+                            y, 2)
+        assert len(sizes) == t.size - 1
+        assert max(sizes) == np.unique(t).size == 28

@@ -1,9 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 
-from alps import core
+from alps import cli, core
 from alps.errors import InvalidInputError, ParseError
-from alps.timeseries import TimeSeries, read_timeseries, write_timeseries
+from alps.timeseries import FLOAT_FMT, TimeSeries, read_timeseries, write_timeseries
 
 
 class TestTimeSeries:
@@ -89,3 +91,45 @@ class TestReadTimeseries:
         assert np.array_equal(back.times, series.times)
         assert np.array_equal(back.values, series.values)
         assert np.array_equal(back.sigma, series.sigma)
+
+
+def csv_writer_bytes(path, header, columns):
+    """The file csv.writer writes for these rows, each value as FLOAT_FMT."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([FLOAT_FMT.format(v) for v in row])
+    return path.read_bytes()
+
+
+HOSTILE = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300,
+                    2.2250738585072014e-308, 0.1, -2.5, 2009.9999999999998, 1e16, -7.0])
+
+
+class TestCsvBytes:
+    """The one-pass writers against csv.writer, byte for byte."""
+
+    @pytest.mark.parametrize("with_sigma", [False, True])
+    def test_write_timeseries(self, tmp_path, with_sigma):
+        rng = np.random.default_rng(5)
+        values, sigma = rng.permutation(HOSTILE), rng.permutation(HOSTILE)
+        series = TimeSeries(np.arange(HOSTILE.size) + 2000.5, values,
+                            np.abs(sigma) if with_sigma else None)
+        write_timeseries(tmp_path / "new.csv", series)
+        header, columns = ["time", "value"], [series.times, series.values]
+        if with_sigma:
+            header, columns = header + ["sigma"], columns + [series.sigma]
+        expected = csv_writer_bytes(tmp_path / "ref.csv", header, columns)
+        assert (tmp_path / "new.csv").read_bytes() == expected
+
+    def test_band(self, tmp_path):
+        rng = np.random.default_rng(6)
+        band = core.PredictionBand(
+            epochs=HOSTILE, mean=rng.permutation(HOSTILE), std=np.abs(rng.permutation(HOSTILE)),
+            half_width=rng.permutation(HOSTILE), alpha=0.05)
+        cli._write_band(tmp_path / "new.csv", band)
+        expected = csv_writer_bytes(
+            tmp_path / "ref.csv", ["epoch", "mean", "std", "ci_lo", "ci_hi"],
+            [band.epochs, band.mean, band.std, band.lower, band.upper])
+        assert (tmp_path / "new.csv").read_bytes() == expected
