@@ -185,12 +185,41 @@ def _dense(first: np.ndarray, values: np.ndarray, n_cols: int) -> np.ndarray:
     return out
 
 
-def eval_basis(kv: KnotVector, epochs) -> BasisMatrix:
-    """Evaluate all ``c = m + p`` degree-p basis functions at the epochs."""
+def _local_basis(kv: KnotVector, epochs, derivative: bool = False):
+    """(epochs, first, values) of the basis (or, with ``derivative``, its
+    first derivative) at the epochs: ``values[k, e]`` belongs to basis
+    function ``first[e] + k``, k = 0..p, the only ones that can be nonzero
+    at epoch e. Derivative terms whose knot-span denominator vanishes are
+    0."""
+    p = kv.p
+    if derivative and p < 1:
+        raise InvalidInputError("derivative needs degree p >= 1")
     t = np.atleast_1d(np.asarray(epochs, dtype=float))
     _check_domain(kv, t)
-    first, values, _ = _local_values(kv.knots[None], kv.p, kv.domain[1], t, kv.p)
-    return BasisMatrix(values=_dense(first, values[1:-1], kv.n_bases), epochs=t)
+    degree = p - 1 if derivative else p
+    first, lower, near = _local_values(kv.knots[None], p, kv.domain[1], t, degree)
+    if not derivative:
+        return t, first, lower[1:-1]
+    # Functions i = first-1..first+p-1: knots i, i+p, then i+1, i+p+1.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        values = (_term(p, near[p : 2 * p + 1] - near[: p + 1], lower[:-1])
+                  - _term(p, near[p + 1 :] - near[1 : p + 2], lower[1:]))
+    return t, first - 1, values
+
+
+def eval_basis(kv: KnotVector, epochs) -> BasisMatrix:
+    """Evaluate all ``c = m + p`` degree-p basis functions at the epochs."""
+    t, first, values = _local_basis(kv, epochs)
+    return BasisMatrix(values=_dense(first, values, kv.n_bases), epochs=t)
+
+
+def eval_basis_derivative(kv: KnotVector, epochs) -> BasisMatrix:
+    """First derivatives of the basis functions at the epochs.
+
+    Terms whose knot-span denominator vanishes evaluate to 0.
+    """
+    t, first, values = _local_basis(kv, epochs, derivative=True)
+    return BasisMatrix(values=_dense(first, values, kv.n_bases), epochs=t)
 
 
 # Most (section count, epoch) pairs one stacked pass of ``scan_bases``
@@ -218,21 +247,3 @@ def scan_bases(times: np.ndarray, ms, p: int, placement: str, kept: list):
             pairs = slice(r * times.size, (r + 1) * times.size)
             yield BasisMatrix(values=_dense(first[pairs], values[1:-1, pairs], m + p),
                               epochs=times)
-
-
-def eval_basis_derivative(kv: KnotVector, epochs) -> BasisMatrix:
-    """First derivatives of the basis functions at the epochs.
-
-    Terms whose knot-span denominator vanishes evaluate to 0.
-    """
-    if kv.p < 1:
-        raise InvalidInputError("derivative needs degree p >= 1")
-    t = np.atleast_1d(np.asarray(epochs, dtype=float))
-    _check_domain(kv, t)
-    p = kv.p
-    first, lower, near = _local_values(kv.knots[None], p, kv.domain[1], t, p - 1)
-    # Functions i = first-1..first+p-1: knots i, i+p, then i+1, i+p+1.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        values = (_term(p, near[p : 2 * p + 1] - near[: p + 1], lower[:-1])
-                  - _term(p, near[p + 1 :] - near[1 : p + 2], lower[1:]))
-    return BasisMatrix(values=_dense(first - 1, values, kv.n_bases), epochs=t)

@@ -75,10 +75,10 @@ def _report_lines(model: core.AlpsModel) -> list[str]:
     meta = model.fit_metadata
     return [
         f"m_hat={model.m_hat}",
-        f"lambda_hat={FLOAT_FMT.format(model.lambda_hat)}",
-        f"gcv_cost={FLOAT_FMT.format(meta.gcv_cost)}",
-        f"df_res={FLOAT_FMT.format(model.df_res)}",
-        f"sigma2={FLOAT_FMT.format(model.sigma2)}",
+        f"lambda_hat={FLOAT_FMT % model.lambda_hat}",
+        f"gcv_cost={FLOAT_FMT % meta.gcv_cost}",
+        f"df_res={FLOAT_FMT % model.df_res}",
+        f"sigma2={FLOAT_FMT % model.sigma2}",
         f"n={meta.n}",
     ]
 
@@ -192,8 +192,8 @@ def outliers_cmd(data, threshold1, threshold2, flags_out, model_out, clean_out, 
         writer.writerow(["index", "time", "value", "level"])
         for level, idx_list in ((1, report.level1_indices), (2, report.level2_indices)):
             for i in idx_list:
-                writer.writerow([i, FLOAT_FMT.format(series.times[i]),
-                                 FLOAT_FMT.format(series.values[i]), level])
+                writer.writerow([i, FLOAT_FMT % series.times[i],
+                                 FLOAT_FMT % series.values[i], level])
     if model_out:
         core.save_model(report.final_model, model_out)
     if clean_out:
@@ -221,7 +221,7 @@ def fuse_cmd(observations, dense_model, p, q, alpha, out):
     result = fusion.reconstruct(fusion.FusionInput(obs, dense), config, alpha=alpha)
     _write_band(out, result.reconstruction)
     model = result.dibc_model
-    click.echo(f"m_hat={model.m_hat} lambda_hat={FLOAT_FMT.format(model.lambda_hat)}")
+    click.echo(f"m_hat={model.m_hat} lambda_hat={FLOAT_FMT % model.lambda_hat}")
 
 
 def _rmse(a: np.ndarray, b: np.ndarray) -> float:
@@ -268,10 +268,10 @@ def compare_cmd(data, degrees, truth, out, **fit_flags):
             header.append("rmse_truth")
         writer.writerow(header)
         for name, predictor in predictors.items():
-            row = [name, FLOAT_FMT.format(_rmse(predictor(series.times), series.values))]
+            row = [name, FLOAT_FMT % _rmse(predictor(series.times), series.values)]
             if truth_series is not None:
-                row.append(FLOAT_FMT.format(
-                    _rmse(predictor(truth_series.times), truth_series.values)))
+                row.append(FLOAT_FMT % _rmse(predictor(truth_series.times),
+                                             truth_series.values))
             writer.writerow(row)
 
 

@@ -25,9 +25,12 @@ from ._blas import blas_threads_for
 from .basis import (
     PLACEMENTS,
     KnotVector,
+    _local_basis,
     build_knot_vector,
     eval_basis,
-    eval_basis_derivative,
+    # Not called here (bands take local values), but the benchmark's tracer
+    # (perfbench/tracing.py) wraps the name in this module.
+    eval_basis_derivative,  # noqa: F401
     scan_bases,
 )
 from .errors import (
@@ -212,39 +215,74 @@ def _select(rows):
     return rows[best_columns(np.array([costs]), np.array([ms], dtype=float), -1)[0]]
 
 
-def _mean_and_quad(model: AlpsModel, basis):
-    """Fitted values on ``basis`` and, per row b, the fit-variance quadratic
-    form b' A^{-1} b (A the normal matrix), clipped at 0."""
-    with blas_threads_for(model.knot_vector.n_bases):
-        mean = basis.values @ model.theta
-        X = scipy.linalg.cho_solve(model.normal_factorization, basis.values.T)
-        quad = np.einsum("ij,ji->i", basis.values, X)
-    return mean, np.clip(quad, 0.0, None)
+# Most entries (basis functions x epochs) of one block of a band's
+# triangular solve: 512 kB, however many epochs the band covers.
+_BAND_BLOCK = 1 << 16
+
+
+def _factor_band(model: AlpsModel):
+    """The stored Cholesky factor's p + 1 diagonals in LAPACK's banded
+    layout, and the (uplo, trans) with which ``dtbtrs`` solves L x = b for
+    A = LL'. ``model_from_dict`` rejects factors with nonzeros beyond."""
+    factor, lower = model.normal_factorization
+    p, c = model.p, factor.shape[0]
+    ab = np.zeros((p + 1, c))
+    for k in range(p + 1):
+        if lower:
+            ab[k, : c - k] = np.diagonal(factor, -k)
+        else:
+            ab[p - k, k:] = np.diagonal(factor, k)
+    return ab, ("L", "N") if lower else ("U", "T")
+
+
+def _mean_and_quad(model: AlpsModel, first: np.ndarray, values: np.ndarray):
+    """Fitted values at epochs given by their local basis values
+    (``basis._local_basis``: ``values[k, e]`` belongs to function
+    ``first[e] + k``) and, per epoch's basis row b, the fit-variance
+    quadratic form b'A^{-1}b = ||L^{-1}b||^2, A = LL' the normal matrix.
+    The mean sums p + 1 products; L^{-1}b comes from one banded triangular
+    solve per block of at most ``_BAND_BLOCK`` entries, each epoch's column
+    bit for bit the same in any block."""
+    cols = first + np.arange(values.shape[0])[:, None]
+    mean = np.add.reduce(values * model.theta[cols], axis=0)
+    ab, (uplo, trans) = _factor_band(model)
+    c, n = ab.shape[1], first.size
+    quad, per = np.empty(n), max(1, _BAND_BLOCK // c)
+    with blas_threads_for(c):
+        for lo in range(0, n, per):
+            block = slice(lo, min(lo + per, n))
+            rhs = np.zeros((c, block.stop - lo), order="F")
+            rhs[cols[:, block], np.arange(block.stop - lo)] = values[:, block]
+            x = scipy.linalg.lapack.dtbtrs(ab, rhs, uplo=uplo, trans=trans, overwrite_b=1)[0]
+            quad[block] = np.einsum("ij,ij->i", x.T, x.T)
+    return mean, quad
 
 
 def _t_quantile(model: AlpsModel, alpha: float) -> float:
     return float(scipy.special.stdtrit(model.df_res, 1.0 - alpha / 2.0))
 
 
-def _band(model: AlpsModel, basis, alpha: float) -> PredictionBand:
+def _band(model: AlpsModel, local, alpha: float) -> PredictionBand:
+    """The band at ``local``, ``basis._local_basis``'s (epochs, first, values)."""
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-    mean, quad = _mean_and_quad(model, basis)
+    epochs, first, values = local
+    mean, quad = _mean_and_quad(model, first, values)
     std = math.sqrt(max(model.sigma2, 0.0)) * np.sqrt(quad)
     tq = _t_quantile(model, alpha)
     return PredictionBand(
-        epochs=basis.epochs, mean=mean, std=std, half_width=tq * std, alpha=alpha
+        epochs=epochs, mean=mean, std=std, half_width=tq * std, alpha=alpha
     )
 
 
 def predict(model: AlpsModel, epochs, alpha: float = DEFAULT_ALPHA) -> PredictionBand:
     """Mean prediction with 100(1-alpha)% pointwise t-confidence bands."""
-    return _band(model, eval_basis(model.knot_vector, epochs), alpha)
+    return _band(model, _local_basis(model.knot_vector, epochs), alpha)
 
 
 def predict_derivative(model: AlpsModel, epochs, alpha: float = DEFAULT_ALPHA) -> PredictionBand:
     """First derivative of the fitted curve with t-confidence bands."""
-    return _band(model, eval_basis_derivative(model.knot_vector, epochs), alpha)
+    return _band(model, _local_basis(model.knot_vector, epochs, derivative=True), alpha)
 
 
 def model_to_dict(model: AlpsModel) -> dict:
@@ -292,6 +330,13 @@ def model_from_dict(doc: dict) -> AlpsModel:
         c = m + p
         if theta.shape != (c,) or factor.shape != (c, c):
             raise ParseError("coefficient/factor dimensions inconsistent with m + p")
+        lower = bool(doc["factor_lower"])
+        # Bands read only the factor's band, and divide by its diagonal:
+        # every fit leaves the stored triangle exactly zero beyond p places
+        # off a positive diagonal.
+        beyond = np.tril(factor, -p - 1) if lower else np.triu(factor, p + 1)
+        if np.any(beyond != 0) or not np.all(np.diagonal(factor) > 0):
+            raise ParseError(f"normal_factor is not a Cholesky factor with bandwidth p = {p}")
         lam, sigma2, df_res = float(doc["lambda"]), float(doc["sigma2"]), float(doc["df_res"])
         finite = all(np.all(np.isfinite(v)) for v in (lam, sigma2, df_res, theta, factor, kv.knots))
         if not (finite and sigma2 >= 0 and df_res > 0 and kv.domain[0] < kv.domain[1]):
@@ -303,7 +348,7 @@ def model_from_dict(doc: dict) -> AlpsModel:
         return AlpsModel(
             knot_vector=kv, p=p, q=q, lambda_hat=lam, theta=theta,
             df_res=df_res, sigma2=sigma2,
-            normal_factorization=(factor, bool(doc["factor_lower"])),
+            normal_factorization=(factor, lower),
             fit_metadata=meta,
         )
     except (AttributeError, KeyError, TypeError, ValueError, ConfigError, InvalidInputError) as exc:

@@ -30,7 +30,7 @@ from .errors import (
     NoValidLambdaError,
     RankDeficiencyError,
 )
-from .penalty import difference_matrix
+from .penalty import difference_gram
 
 # GCV denominator (1 - tr(H)/n) below this scores +inf: the configuration is
 # effectively interpolating and carries no generalization information.
@@ -119,13 +119,13 @@ def fit_penalized(B, y, q: int, lam: float) -> FitResult:
         raise InvalidInputError(f"y must have length {n}, got {y.shape}")
     if not (math.isfinite(lam) and lam >= 0):
         raise InvalidInputError(f"smoothing parameter must be finite and >= 0, got {lam}")
-    D = difference_matrix(q, c)
-    # With q < c every column of D is nonzero: only lam = 0 leaves one unpinned.
+    K = difference_gram(q, c)
+    # With q < c every column of D_q is nonzero: only lam = 0 leaves one unpinned.
     if lam == 0:
         _check_support(Bv)
     with blas_threads_for(c):
         G = Bv.T @ Bv
-        cho, ridged = _factorize(G + lam * (D.T @ D))
+        cho, ridged = _factorize(G + lam * K)
         theta = scipy.linalg.cho_solve(cho, Bv.T @ y)
         resid = y - Bv @ theta
         rss = float(resid @ resid)
@@ -206,11 +206,10 @@ def gcv_profile(Bu: np.ndarray, ys: np.ndarray, yy: float, q: int) -> GcvProfile
     """Diagonalize one design from its distinct-epoch rows ``Bu``, the
     matching ``ys`` and y'y (in the caller's BLAS scope)."""
     r, c = Bu.shape
-    D = difference_matrix(q, c)
     G = Bu.T @ Bu
     # LAPACK directly: at these sizes the checked wrappers cost as much as
     # the factorization. info > 0 is a factor that is not definite.
-    L, info = scipy.linalg.lapack.dpotrf(G + D.T @ D, lower=1, clean=0)
+    L, info = scipy.linalg.lapack.dpotrf(G + difference_gram(q, c), lower=1, clean=0)
     if info:
         return GcvProfile(None)
     solve = functools.partial(scipy.linalg.lapack.dtrtrs, L, lower=1)

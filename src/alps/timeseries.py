@@ -17,7 +17,7 @@ from .errors import InvalidInputError, ParseError
 log = logging.getLogger(__name__)
 
 # 17 significant digits round-trips IEEE float64 exactly.
-FLOAT_FMT = "{:.17g}"
+FLOAT_FMT = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def write_columns(path, header, columns) -> None:
     values = zip(*(np.asarray(c).tolist() for c in columns))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(row.format(*v) for v in values)
+        fh.writelines(row % v for v in values)
 
 
 def write_timeseries(path, series: TimeSeries) -> None:

@@ -3,11 +3,12 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats
 from hypothesis import assume, given, settings, strategies as st
 
 from alps import core, solver
-from alps.basis import build_knot_vector, eval_basis
+from alps.basis import build_knot_vector, eval_basis, eval_basis_derivative
 from alps.errors import (
     ConfigError,
     DegenerateKnotsError,
@@ -272,6 +273,83 @@ class TestPredictDerivative:
         np.testing.assert_allclose(deriv / scale, fd / scale, atol=1e-4)
 
 
+def _model_at(times, y, m, p, q, lam, placement="equidistant"):
+    """The model ``fit`` would return at (m, lam), from ``fit_penalized``."""
+    kv = build_knot_vector(times, m, p, placement)
+    result = fit_penalized(eval_basis(kv, times), y, q, lam)
+    meta = core.FitMetadata(gcv_cost=0.0, placement=placement, n=len(times))
+    return core.AlpsModel(
+        knot_vector=kv, p=p, q=q, lambda_hat=lam, theta=result.theta, df_res=result.df_res,
+        sigma2=result.sigma2, normal_factorization=result.normal_factorization,
+        fit_metadata=meta)
+
+
+def _stored_upper(model):
+    """``model`` loaded from a document whose factor is stored upper."""
+    doc = core.model_to_dict(model)
+    doc["normal_factor"] = np.tril(model.normal_factorization[0]).T.tolist()
+    doc["factor_lower"] = False
+    return core.model_from_dict(doc)
+
+
+def _band_cases():
+    rng = np.random.default_rng(11)
+    # Ten sections without data: at lambda = 1e-12 cond(A) is about 3e13,
+    # and a std from an explicit band of A^{-1} is off by 6e-8.
+    gap = np.sort(np.concatenate((rng.uniform(0.0, 0.4, 40), rng.uniform(0.6, 1.0, 40))))
+    y_gap = np.sin(6.0 * gap) + rng.normal(0.0, 0.05, gap.size)
+    for lam in (1e-4, 1e-8, 1e-12):
+        yield f"gap-lam{lam:g}", _model_at(gap, y_gap, 48, 4, 2, lam)
+    offset = 1e6 + np.sort(rng.uniform(0.0, 1e-3, 40))
+    yield "offset", _model_at(offset, np.cos(4e3 * (offset - 1e6)), 12, 3, 2, 1e-2, "quantile")
+    t = np.sort(rng.uniform(2000.0, 2010.0, 50))
+    y = np.sin(t) + rng.normal(0.0, 0.1, t.size)
+    for p in (2, 3, 4):
+        for q in range(1, p):
+            yield f"p{p}q{q}", _model_at(t, y, 15, p, q, 0.3, "quantile")
+    yield "stored-upper", _stored_upper(_model_at(t, y, 15, 4, 2, 0.3, "quantile"))
+    series, _ = gramacy_lee_series(n=60, noise_sd=0.1, seed=3)
+    yield "fit", core.fit(series)
+
+
+def _dense_band(model, epochs, evaluate):
+    """Mean and b'A^{-1}b from the dense basis and a dense triangular solve."""
+    factor, lower = model.normal_factorization
+    L = np.tril(factor) if lower else np.triu(factor).T
+    B = evaluate(model.knot_vector, epochs).values
+    X = scipy.linalg.solve_triangular(L, B.T, lower=True)
+    return B @ model.theta, np.sum(X * X, axis=0)
+
+
+_BAND_CASES = dict(_band_cases())
+
+
+@pytest.mark.parametrize("name", _BAND_CASES)
+def test_bands_match_dense_oracle_in_any_block(name, monkeypatch):
+    model = _BAND_CASES[name]
+    kv = model.knot_vector
+    lo, hi = kv.domain
+    inner = kv.knots[kv.p : kv.p + kv.m + 1]  # every domain knot, both ends included
+    epochs = np.sort(np.concatenate((np.linspace(lo, hi, 301), inner, [hi, hi])))
+    sigma = np.sqrt(model.sigma2)
+    for fn, evaluate in ((core.predict, eval_basis),
+                         (core.predict_derivative, eval_basis_derivative)):
+        band = fn(model, epochs)
+        mean, quad = _dense_band(model, epochs, evaluate)
+        scale = np.abs(mean).max()
+        np.testing.assert_allclose(band.mean, mean, rtol=1e-10, atol=1e-10 * scale)
+        np.testing.assert_allclose(band.std, sigma * np.sqrt(quad), rtol=1e-10)
+        tq = scipy.stats.t.ppf(1 - band.alpha / 2, model.df_res)
+        np.testing.assert_allclose(band.half_width, tq * sigma * np.sqrt(quad), rtol=1e-10)
+        for block in (1, epochs.size, epochs.size * kv.n_bases):
+            monkeypatch.setattr(core, "_BAND_BLOCK", block)
+            blocked = fn(model, epochs)
+            for a, b in ((band.mean, blocked.mean), (band.std, blocked.std),
+                         (band.half_width, blocked.half_width)):
+                assert a.tobytes() == b.tobytes(), (name, block)
+        monkeypatch.undo()
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self, noisy_model, tmp_path):
         series, model = noisy_model
@@ -287,7 +365,7 @@ class TestSerialization:
             assert np.array_equal(a.std, b.std)
             assert np.array_equal(a.half_width, b.half_width)
 
-    def test_malformed_documents(self, tmp_path):
+    def test_malformed_documents(self, tmp_path, noisy_model):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         with pytest.raises(ParseError):
@@ -298,6 +376,20 @@ class TestSerialization:
         bad.write_text('{"format": "alps-model", "p": 4}')
         with pytest.raises(ParseError):
             core.load_model(bad)
+        # A factor with a nonzero beyond p places off its diagonal in the
+        # stored triangle, or without a positive diagonal, stored either way up.
+        _, model = noisy_model
+        doc, p = core.model_to_dict(model), model.p
+        L = np.tril(model.normal_factorization[0])
+        for lower, factor in ((True, L), (False, L.T)):
+            doc.update(normal_factor=factor.tolist(), factor_lower=lower)
+            core.model_from_dict(doc)  # the fit's band
+            for i, j, value in ((p + 1, 0, 1e-300), (-1, 0, -2.0), (3, 3, 0.0), (3, 3, -1.0)):
+                broken = factor.copy()
+                broken[(i, j) if lower else (j, i)] = value
+                doc["normal_factor"] = broken.tolist()
+                with pytest.raises(ParseError):
+                    core.model_from_dict(doc)
 
     @pytest.mark.parametrize("field, value", [
         ("sigma2", float("nan")), ("sigma2", -2.0), ("sigma2", float("inf")),

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from alps.basis import build_knot_vector, eval_basis
 from alps.errors import InvalidInputError
-from alps.penalty import difference_matrix
+from alps.penalty import difference_gram, difference_matrix
 from alps.solver import fit_penalized
 
 
@@ -106,6 +106,19 @@ class TestPenaltyMatrix:
         eigvals = np.linalg.eigvalsh(P)
         assert np.all(eigvals > -1e-10)
         assert np.sum(eigvals > 1e-10) == 8 - 2
+
+
+class TestDifferenceGram:
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_bytes_equal_the_product(self, q):
+        for c in range(q + 1, 160):
+            D = difference_matrix(q, c)
+            assert difference_gram(q, c).tobytes() == (D.T @ D).tobytes(), c
+
+    @pytest.mark.parametrize("q, c", [(0, 5), (5, 5), (6, 5)])
+    def test_invalid_order_rejected(self, q, c):
+        with pytest.raises(InvalidInputError):
+            difference_gram(q, c)
 
 
 @settings(max_examples=80, deadline=None)

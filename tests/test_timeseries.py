@@ -5,7 +5,7 @@ import pytest
 
 from alps import cli, core
 from alps.errors import InvalidInputError, ParseError
-from alps.timeseries import FLOAT_FMT, TimeSeries, read_timeseries, write_timeseries
+from alps.timeseries import TimeSeries, read_timeseries, write_timeseries
 
 
 class TestTimeSeries:
@@ -94,12 +94,13 @@ class TestReadTimeseries:
 
 
 def csv_writer_bytes(path, header, columns):
-    """The file csv.writer writes for these rows, each value as FLOAT_FMT."""
+    """The file csv.writer writes for these rows, each value in ``str.format``'s
+    17-digit spelling, which FLOAT_FMT's printf spelling must match."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in zip(*columns):
-            writer.writerow([FLOAT_FMT.format(v) for v in row])
+            writer.writerow(["{:.17g}".format(v) for v in row])
     return path.read_bytes()
 
 
