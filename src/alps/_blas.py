@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import sys
 import threading
 
 # (get, set) symbol pairs: NumPy's 64-bit-integer copy, SciPy's copy, and a
@@ -61,12 +62,18 @@ class OneBlasThread:
 
     The outermost entry in the process saves each library's thread count
     and sets it to 1; the last exit restores the saved counts. Libraries
-    are looked up once, when the first scope opens.
+    are looked up when the first scope opens, and again at an outermost
+    entry after a module was imported since the last lookup: only an import
+    maps a new OpenBLAS (SciPy's own copy is loaded on a fit's first use),
+    and reading the memory map at every entry would cost more than a small
+    system's solve. A library mapped inside an open scope is set at the
+    next outermost entry.
     """
 
     def __init__(self, find=find_openblas):
         self._find = find
-        self._libs = None
+        self._libs = ()
+        self._modules = -1  # len(sys.modules) at the last lookup
         self._saved = ()
         self._depth = 0
         self._lock = threading.Lock()
@@ -74,7 +81,8 @@ class OneBlasThread:
     def __enter__(self):
         with self._lock:
             if self._depth == 0:
-                if self._libs is None:
+                if len(sys.modules) != self._modules:
+                    self._modules = len(sys.modules)
                     self._libs = self._find()
                 self._saved = tuple(get() for get, _ in self._libs)
                 for _, set_ in self._libs:

@@ -6,8 +6,8 @@ m = 1..n-1 in one stacked pass per block of them, and hands the bases, one
 dense basis at a time, to one lambda search, which diagonalizes each in
 turn and then scores all of them in lock-step. It keeps the configuration
 with the smallest GCV cost, preferring fewer sections on ties. The refit
-at the winning configuration caches the normal factorization so bands at
-new epochs never re-solve the fit.
+at the winning configuration caches the normal factorization, and the
+model its inverse factor, so bands at new epochs never re-solve the fit.
 """
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.special
 
+from . import _student_t
 from ._blas import blas_threads_for
 from .basis import (
     PLACEMENTS,
@@ -109,7 +108,11 @@ class FitMetadata:
 
 @dataclass(frozen=True)
 class AlpsModel:
-    """Immutable fitted model; all prediction state is cached here."""
+    """Immutable fitted model; all prediction state is cached here.
+
+    ``inverse_factor`` is W = L^{-1} for the normal matrix A = LL', built
+    from ``normal_factorization`` when the model is made, by the same
+    routine for a fit and for a loaded document."""
 
     knot_vector: KnotVector
     p: int
@@ -120,6 +123,15 @@ class AlpsModel:
     sigma2: float
     normal_factorization: tuple
     fit_metadata: FitMetadata
+    inverse_factor: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        factor, lower = self.normal_factorization
+        upper = np.tril(factor).T if lower else np.triu(factor)
+        with blas_threads_for(upper.shape[0]):
+            # inv(L') = W', so W comes out Fortran-ordered: its columns,
+            # which bands gather, are contiguous.
+            object.__setattr__(self, "inverse_factor", np.linalg.inv(upper).T)
 
     @property
     def m_hat(self) -> int:
@@ -216,50 +228,34 @@ def _select(rows):
 
 
 # Most entries (basis functions x epochs) of one block of a band's
-# triangular solve: 512 kB, however many epochs the band covers.
+# gathered columns: 512 kB, however many epochs the band covers.
 _BAND_BLOCK = 1 << 16
-
-
-def _factor_band(model: AlpsModel):
-    """The stored Cholesky factor's p + 1 diagonals in LAPACK's banded
-    layout, and the (uplo, trans) with which ``dtbtrs`` solves L x = b for
-    A = LL'. ``model_from_dict`` rejects factors with nonzeros beyond."""
-    factor, lower = model.normal_factorization
-    p, c = model.p, factor.shape[0]
-    ab = np.zeros((p + 1, c))
-    for k in range(p + 1):
-        if lower:
-            ab[k, : c - k] = np.diagonal(factor, -k)
-        else:
-            ab[p - k, k:] = np.diagonal(factor, k)
-    return ab, ("L", "N") if lower else ("U", "T")
 
 
 def _mean_and_quad(model: AlpsModel, first: np.ndarray, values: np.ndarray):
     """Fitted values at epochs given by their local basis values
     (``basis._local_basis``: ``values[k, e]`` belongs to function
     ``first[e] + k``) and, per epoch's basis row b, the fit-variance
-    quadratic form b'A^{-1}b = ||L^{-1}b||^2, A = LL' the normal matrix.
-    The mean sums p + 1 products; L^{-1}b comes from one banded triangular
-    solve per block of at most ``_BAND_BLOCK`` entries, each epoch's column
-    bit for bit the same in any block."""
+    quadratic form b'A^{-1}b = ||Wb||^2, W = L^{-1} for A = LL'. The mean
+    sums p + 1 products; Wb sums the p + 1 columns of W that b weights, for
+    blocks of at most ``_BAND_BLOCK`` entries, each epoch's bit for bit the
+    same in any block."""
     cols = first + np.arange(values.shape[0])[:, None]
     mean = np.add.reduce(values * model.theta[cols], axis=0)
-    ab, (uplo, trans) = _factor_band(model)
-    c, n = ab.shape[1], first.size
-    quad, per = np.empty(n), max(1, _BAND_BLOCK // c)
-    with blas_threads_for(c):
-        for lo in range(0, n, per):
-            block = slice(lo, min(lo + per, n))
-            rhs = np.zeros((c, block.stop - lo), order="F")
-            rhs[cols[:, block], np.arange(block.stop - lo)] = values[:, block]
-            x = scipy.linalg.lapack.dtbtrs(ab, rhs, uplo=uplo, trans=trans, overwrite_b=1)[0]
-            quad[block] = np.einsum("ij,ij->i", x.T, x.T)
+    columns = model.inverse_factor.T  # row j is W's column j
+    n = first.size
+    quad, per = np.empty(n), max(1, _BAND_BLOCK // columns.shape[1])
+    for lo in range(0, n, per):
+        block = slice(lo, lo + per)
+        x = columns[cols[0, block]] * values[0, block, None]
+        for k in range(1, values.shape[0]):
+            x += columns[cols[k, block]] * values[k, block, None]
+        quad[block] = np.einsum("ij,ij->i", x, x)
     return mean, quad
 
 
 def _t_quantile(model: AlpsModel, alpha: float) -> float:
-    return float(scipy.special.stdtrit(model.df_res, 1.0 - alpha / 2.0))
+    return _student_t.quantile(model.df_res, alpha)
 
 
 def _band(model: AlpsModel, local, alpha: float) -> PredictionBand:
@@ -331,9 +327,8 @@ def model_from_dict(doc: dict) -> AlpsModel:
         if theta.shape != (c,) or factor.shape != (c, c):
             raise ParseError("coefficient/factor dimensions inconsistent with m + p")
         lower = bool(doc["factor_lower"])
-        # Bands read only the factor's band, and divide by its diagonal:
-        # every fit leaves the stored triangle exactly zero beyond p places
-        # off a positive diagonal.
+        # Every fit leaves the stored triangle exactly zero beyond p places
+        # off a positive diagonal; bands invert it.
         beyond = np.tril(factor, -p - 1) if lower else np.triu(factor, p + 1)
         if np.any(beyond != 0) or not np.all(np.diagonal(factor) > 0):
             raise ParseError(f"normal_factor is not a Cholesky factor with bandwidth p = {p}")

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from ._blas import blas_threads_for
 from .basis import BasisMatrix
@@ -30,7 +29,7 @@ from .errors import (
     NoValidLambdaError,
     RankDeficiencyError,
 )
-from .penalty import difference_gram
+from .penalty import add_difference_gram
 
 # GCV denominator (1 - tr(H)/n) below this scores +inf: the configuration is
 # effectively interpolating and carries no generalization information.
@@ -80,6 +79,8 @@ def _design(B) -> np.ndarray:
 def _factorize(A: np.ndarray):
     """Cholesky with a single relative-ridge retry; reports whether the
     ridge was needed."""
+    import scipy.linalg
+
     try:
         return scipy.linalg.cho_factor(A, lower=True), False
     except scipy.linalg.LinAlgError:
@@ -112,6 +113,8 @@ def fit_penalized(B, y, q: int, lam: float) -> FitResult:
     Also evaluates the residual degrees of freedom and the unbiased error
     variance on the c x c scale (no n x n smoother matrix is formed).
     """
+    import scipy.linalg
+
     Bv = _design(B)
     y = np.asarray(y, dtype=float)
     n, c = Bv.shape
@@ -119,13 +122,12 @@ def fit_penalized(B, y, q: int, lam: float) -> FitResult:
         raise InvalidInputError(f"y must have length {n}, got {y.shape}")
     if not (math.isfinite(lam) and lam >= 0):
         raise InvalidInputError(f"smoothing parameter must be finite and >= 0, got {lam}")
-    K = difference_gram(q, c)
     # With q < c every column of D_q is nonzero: only lam = 0 leaves one unpinned.
     if lam == 0:
         _check_support(Bv)
     with blas_threads_for(c):
         G = Bv.T @ Bv
-        cho, ridged = _factorize(G + lam * K)
+        cho, ridged = _factorize(add_difference_gram(G, q, lam))
         theta = scipy.linalg.cho_solve(cho, Bv.T @ y)
         resid = y - Bv @ theta
         rss = float(resid @ resid)
@@ -205,11 +207,13 @@ _RSS_ROUNDING = 1e-13
 def gcv_profile(Bu: np.ndarray, ys: np.ndarray, yy: float, q: int) -> GcvProfile:
     """Diagonalize one design from its distinct-epoch rows ``Bu``, the
     matching ``ys`` and y'y (in the caller's BLAS scope)."""
+    import scipy.linalg
+
     r, c = Bu.shape
     G = Bu.T @ Bu
     # LAPACK directly: at these sizes the checked wrappers cost as much as
     # the factorization. info > 0 is a factor that is not definite.
-    L, info = scipy.linalg.lapack.dpotrf(G + difference_gram(q, c), lower=1, clean=0)
+    L, info = scipy.linalg.lapack.dpotrf(add_difference_gram(G, q), lower=1, clean=0)
     if info:
         return GcvProfile(None)
     solve = functools.partial(scipy.linalg.lapack.dtrtrs, L, lower=1)
@@ -345,6 +349,8 @@ def minimize_gcv_lambda(B, y, q: int, grid: LambdaGrid = LambdaGrid()):
     at one epoch are equal); designs that share one epochs array share the
     merge.
     """
+    import scipy.linalg  # noqa: F401  (loaded before any BLAS scope opens)
+
     y = np.asarray(y, dtype=float)
     yy, one = float(y @ y), isinstance(B, (BasisMatrix, np.ndarray))
     profiles, epochs, (merge, ys) = [], None, _distinct_rows(None, y)

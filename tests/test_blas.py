@@ -4,17 +4,22 @@ back when it returns or raises."""
 
 import ctypes
 import json
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 import scipy.linalg
 
+import alps
 from alps import _blas, core, fusion, outliers, solver
 from alps._blas import OneBlasThread, find_openblas
 from alps.basis import build_knot_vector, eval_basis
 from alps.errors import OutOfDomainError
 from alps.synth import fusion_suite, gramacy_lee_series
+from alps.timeseries import write_timeseries
 
 # Read apart from alps._blas, so that a library the scope misses shows up.
 GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
@@ -112,6 +117,68 @@ def test_larger_systems_keep_the_callers_count(monkeypatch, series, two_threads)
     assert all(set(c.values()) == {1} for c in small)
     assert all(c == two_threads for c in large)
     assert counts() == two_threads
+
+
+# Loads a model and predicts, which opens the first scope while SciPy is
+# not loaded, then fits with every OpenBLAS mapped by then at 2 threads;
+# prints the counts read inside each eigh of the lambda search and after.
+_LOAD_PREDICT_FIT = """
+import ctypes, json, sys
+import numpy as np
+from alps import core
+from alps.timeseries import read_timeseries
+
+def openblas():
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = sorted({line.split()[-1] for line in fh
+                        if "openblas" in line.lower() and ".so" in line})
+    libs = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for get_name in %r:
+            if hasattr(lib, get_name):
+                get = getattr(lib, get_name)
+                set_ = getattr(lib, get_name.replace("_get_", "_set_"))
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                libs.append((get, set_))
+                break
+    return libs
+
+model = core.load_model("model.json")
+core.predict(model, np.linspace(*model.domain, 50))
+before_scipy = "scipy" in sys.modules
+import scipy.linalg
+libs = openblas()
+for _, set_ in libs:
+    set_(2)
+start = [get() for get, _ in libs]
+inside, eigh = [], scipy.linalg.eigh
+
+def spy(a, b=None, **kwargs):
+    inside.append([get() for get, _ in libs])
+    return eigh(a, b, **kwargs)
+
+scipy.linalg.eigh = spy
+core.fit(read_timeseries("series.csv"))
+print(json.dumps({"before_scipy": before_scipy, "start": start, "inside": inside,
+                  "after": [get() for get, _ in libs]}))
+""" % (GETTERS,)
+
+
+@needs_openblas
+def test_libraries_mapped_after_the_first_scope_are_set(tmp_path, series, model):
+    core.save_model(model, tmp_path / "model.json")
+    write_timeseries(tmp_path / "series.csv", series)
+    src = str(Path(alps.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _LOAD_PREDICT_FIT], cwd=tmp_path, env=env,
+                         check=True, capture_output=True, text=True, timeout=120).stdout
+    seen = json.loads(out)
+    assert not seen["before_scipy"]
+    assert len(seen["inside"]) == len(series) - 1
+    assert all(set(counts) == {1} for counts in seen["inside"])
+    assert seen["after"] == seen["start"]
 
 
 @pytest.fixture(scope="module")

@@ -307,6 +307,23 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.strip() == "False"
 
 
+def test_predict_never_loads_scipy(tmp_path):
+    series, _ = alps.synth.gramacy_lee_series(n=60, noise_sd=0.1, seed=2)
+    core.save_model(core.fit(series), tmp_path / "m.json")
+    code = (
+        "import sys, alps, alps.cli\n"
+        "alps.cli.main(['predict', 'm.json', '--grid', '500', '--out', 'v.csv',\n"
+        "               '--derivative-out', 'r.csv'], standalone_mode=False)\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    src = str(Path(alps.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "False"
+    assert len(read_csv_columns(tmp_path / "r.csv")["epoch"]) == 500
+
+
 @pytest.mark.parametrize("command", [
     ["fit", "s.csv"],
     ["fit", ".", "--batch", "--out-dir", "models"],

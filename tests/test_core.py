@@ -7,7 +7,7 @@ import scipy.linalg
 import scipy.stats
 from hypothesis import assume, given, settings, strategies as st
 
-from alps import core, solver
+from alps import _blas, core, solver
 from alps.basis import build_knot_vector, eval_basis, eval_basis_derivative
 from alps.errors import (
     ConfigError,
@@ -348,6 +348,29 @@ def test_bands_match_dense_oracle_in_any_block(name, monkeypatch):
                          (band.half_width, blocked.half_width)):
                 assert a.tobytes() == b.tobytes(), (name, block)
         monkeypatch.undo()
+
+
+def test_bands_above_the_one_thread_limit(tmp_path):
+    # c = 904 > ONE_THREAD_MAX_BASES: W is inverted on the caller's threads.
+    rng = np.random.default_rng(12)
+    t = np.sort(rng.uniform(0.0, 1.0, 1000))
+    model = _model_at(t, np.sin(6.0 * t) + rng.normal(0.0, 0.1, t.size), 900, 4, 2, 1e-3)
+    assert model.knot_vector.n_bases > _blas.ONE_THREAD_MAX_BASES
+    path = tmp_path / "model.json"
+    core.save_model(model, path)
+    loaded = core.load_model(path)
+    epochs = np.linspace(*model.domain, 2001)
+    sigma = np.sqrt(model.sigma2)
+    for fn, evaluate in ((core.predict, eval_basis),
+                         (core.predict_derivative, eval_basis_derivative)):
+        band = fn(model, epochs)
+        mean, quad = _dense_band(model, epochs, evaluate)
+        np.testing.assert_allclose(band.mean, mean, rtol=1e-10, atol=1e-10 * np.abs(mean).max())
+        np.testing.assert_allclose(band.std, sigma * np.sqrt(quad), rtol=1e-10)
+        again = fn(loaded, epochs)
+        for a, b in ((band.mean, again.mean), (band.std, again.std),
+                     (band.half_width, again.half_width)):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestSerialization:

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from alps.basis import build_knot_vector, eval_basis
 from alps.errors import InvalidInputError
-from alps.penalty import difference_gram, difference_matrix
+from alps.penalty import add_difference_gram, difference_gram, difference_matrix
 from alps.solver import fit_penalized
 
 
@@ -114,6 +114,16 @@ class TestDifferenceGram:
         for c in range(q + 1, 160):
             D = difference_matrix(q, c)
             assert difference_gram(q, c).tobytes() == (D.T @ D).tobytes(), c
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_added_onto_a_gram_gives_the_sums_bytes(self, q):
+        rng = np.random.default_rng(q)
+        for c in range(q + 1, 160):
+            G = rng.random((c, c))
+            K = difference_gram(q, c)
+            assert add_difference_gram(G, q).tobytes() == (G + K).tobytes(), c
+            for lam in (0.3, 1e-12, 0.0):
+                assert add_difference_gram(G, q, lam).tobytes() == (G + lam * K).tobytes(), c
 
     @pytest.mark.parametrize("q, c", [(0, 5), (5, 5), (6, 5)])
     def test_invalid_order_rejected(self, q, c):
