@@ -228,22 +228,23 @@ def eval_basis_derivative(kv: KnotVector, epochs) -> BasisMatrix:
 _SCAN_ROWS = 2048
 
 
-def scan_bases(times: np.ndarray, ms, p: int, placement: str, kept: list):
-    """The basis at ``times`` (finite, two or more unique) of each
-    section count in ``ms`` whose knots are not degenerate, in order, each
-    m appended to ``kept`` as its basis is drawn. Knots and local values
-    come from one stacked pass per block of ``_SCAN_ROWS`` pairs, bit for
-    bit ``build_knot_vector`` and ``eval_basis``; each dense basis is built
-    as it is drawn, so the caller can keep one alive at a time."""
+def scan_bases(times: np.ndarray, ms, p: int, placement: str):
+    """For each section count in ``ms``, in order, the basis at ``times``
+    (finite, two or more unique), or None where its knots are degenerate.
+    Knots and local values come from one stacked pass per block of
+    ``_SCAN_ROWS`` pairs, bit for bit ``build_knot_vector`` and
+    ``eval_basis``; each dense basis is built as it is drawn, so the caller
+    can keep one alive at a time."""
     unique, ms = np.unique(times), np.asarray(ms, dtype=int)
     per = max(1, _SCAN_ROWS // times.size)
     for block in (ms[i : i + per] for i in range(0, ms.size, per)):
         knots, ok = _knot_rows(unique, block, p, placement)
-        if not ok.any():
-            continue
-        first, values, _ = _local_values(knots[ok], p, unique[-1], times, p)
-        for r, m in enumerate(block[ok].tolist()):
-            kept.append(m)
+        if ok.any():
+            first, values, _ = _local_values(knots[ok], p, unique[-1], times, p)
+        for m, good, r in zip(block.tolist(), ok.tolist(), (np.cumsum(ok) - 1).tolist()):
+            if not good:
+                yield None
+                continue
             pairs = slice(r * times.size, (r + 1) * times.size)
             yield BasisMatrix(values=_dense(first[pairs], values[1:-1, pairs], m + p),
                               epochs=times)

@@ -1,13 +1,13 @@
 """Command-line surface: fit, predict, outliers, fuse, compare, synth.
 
-Exit codes: 0 ok, 2 config, 3 input parse, 4 numerical failure,
-5 domain/coverage. Errors print one machine-parsable line to stderr.
+A failure prints one machine-parsable line to stderr and exits with the
+code ``errors.exit_code_for`` documents. The ``alps`` group is the one
+place that does this; ``fit --batch`` does it per file.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import logging
 import sys
 from pathlib import Path
@@ -22,21 +22,22 @@ from .solver import LambdaGrid
 from .timeseries import FLOAT_FMT, TimeSeries, read_timeseries, write_columns, write_timeseries
 
 
-def _error_line(exc: AlpsError) -> str:
+def _error_line(exc: AlpsError | OSError) -> str:
     message = " ".join(str(exc).split())
     return f"error: {type(exc).__name__}: {message}"
 
 
-def _handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _FailureBoundary(click.Group):
+    """A group whose subcommands' library errors, and the OSError of an
+    output that cannot be written, end the run as one error line and
+    their exit code."""
+
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
-        except AlpsError as exc:
+            return super().invoke(ctx)
+        except (AlpsError, OSError) as exc:
             click.echo(_error_line(exc), err=True)
             sys.exit(exit_code_for(exc))
-
-    return wrapper
 
 
 _DEFAULT = core.FitConfig()
@@ -83,7 +84,7 @@ def _report_lines(model: core.AlpsModel) -> list[str]:
     ]
 
 
-@click.group()
+@click.group(cls=_FailureBoundary)
 @click.option("--verbose", is_flag=True, help="Enable info-level logging.")
 def main(verbose: bool):
     """Penalized-spline smoothing for irregularly sampled time series."""
@@ -99,7 +100,6 @@ def main(verbose: bool):
               help="Treat DATA as a directory of CSVs; fit each in turn.")
 @click.option("--out-dir", type=click.Path(), default=None,
               help="Output directory for batch mode.")
-@_handle_errors
 def fit_cmd(data, model_out, batch, out_dir, **fit_flags):
     """Fit one series (or a directory of them) and write the model(s)."""
     config = _fit_config(**fit_flags)
@@ -131,7 +131,7 @@ def _run_batch_fit(data_dir: Path, out_dir: Path, config: core.FitConfig) -> Non
             series = read_timeseries(path)
             model = core.fit(series, config)
             core.save_model(model, out_dir / (path.stem + ".model.json"))
-        except AlpsError as exc:
+        except (AlpsError, OSError) as exc:
             click.echo(f"{path.name}: {_error_line(exc)}", err=True)
             if first_failure is None:
                 first_failure = exc
@@ -161,7 +161,6 @@ def _prediction_epochs(model: core.AlpsModel, grid: int | None, at: str | None) 
 @click.option("--alpha", type=float, default=core.DEFAULT_ALPHA, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--derivative-out", type=click.Path(), default=None)
-@_handle_errors
 def predict_cmd(model_path, grid, at, alpha, out, derivative_out):
     """Evaluate a saved model: mean and derivative bands as CSV."""
     model = core.load_model(model_path)
@@ -181,19 +180,15 @@ def predict_cmd(model_path, grid, at, alpha, out, derivative_out):
               help="Serialized cleaned-fit model.")
 @click.option("--clean-out", type=click.Path(), default=None,
               help="CSV of the doubly cleaned series.")
-@_handle_errors
 def outliers_cmd(data, threshold1, threshold2, flags_out, model_out, clean_out, **fit_flags):
     """Two-level outlier detection; writes flags and the cleaned fit."""
     config = _fit_config(**fit_flags)
     series = read_timeseries(data)
     report = outliers.detect_and_refit(series, config, threshold1, threshold2)
-    with open(flags_out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "time", "value", "level"])
-        for level, idx_list in ((1, report.level1_indices), (2, report.level2_indices)):
-            for i in idx_list:
-                writer.writerow([i, FLOAT_FMT % series.times[i],
-                                 FLOAT_FMT % series.values[i], level])
+    index = [*report.level1_indices, *report.level2_indices]
+    levels = [1] * len(report.level1_indices) + [2] * len(report.level2_indices)
+    write_columns(flags_out, ["index", "time", "value", "level"],
+                  [index, series.times[index], series.values[index], levels])
     if model_out:
         core.save_model(report.final_model, model_out)
     if clean_out:
@@ -211,7 +206,6 @@ def outliers_cmd(data, threshold1, threshold2, flags_out, model_out, clean_out, 
 @click.option("--q", type=int, default=_DEFAULT.q, show_default=True)
 @click.option("--alpha", type=float, default=core.DEFAULT_ALPHA, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
-@_handle_errors
 def fuse_cmd(observations, dense_model, p, q, alpha, out):
     """Reconstruct a dense record from sparse observations plus a dense
     companion series."""
@@ -237,7 +231,6 @@ def _rmse(a: np.ndarray, b: np.ndarray) -> float:
 @click.option("--truth", type=click.Path(), default=None,
               help="CSV of noise-free truth for RMSE columns.")
 @click.option("--out", type=click.Path(), required=True)
-@_handle_errors
 def compare_cmd(data, degrees, truth, out, **fit_flags):
     """Head-to-head table: spline fit vs polynomial and interpolation
     baselines, with RMSE-vs-truth when a truth file is supplied."""
@@ -286,7 +279,6 @@ def synth_group():
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--truth-out", type=click.Path(), default=None)
-@_handle_errors
 def synth_gramacy_lee(n, noise, seed, out, truth_out):
     """Noisy irregular samples of the oscillating benchmark function."""
     if n < 2:
@@ -306,7 +298,6 @@ def synth_gramacy_lee(n, noise, seed, out, truth_out):
 @click.option("--obs-out", type=click.Path(), required=True)
 @click.option("--dense-out", type=click.Path(), required=True)
 @click.option("--truth-out", type=click.Path(), default=None)
-@_handle_errors
 def synth_fusion(n_obs, noise, seed, obs_out, dense_out, truth_out):
     """Seasonal dense series plus sparse observations of seasonal + slow."""
     if n_obs < 2:

@@ -33,7 +33,6 @@ from .basis import (
     scan_bases,
 )
 from .errors import (
-    AlpsError,
     ConfigError,
     FitFailureError,
     InsufficientDataError,
@@ -172,15 +171,17 @@ def fit(data: TimeSeries, config: FitConfig = FitConfig()) -> AlpsModel:
     distinct = np.unique(times).size
     if distinct < max(2, q):
         raise InsufficientDataError(f"need max(2, q) = {max(2, q)} distinct epochs, got {distinct}")
+    # y'y enters every GCV score: past the float range none is usable.
+    with np.errstate(over="ignore"):
+        if not np.isfinite(y @ y):
+            raise InvalidInputError("the sum of squared values overflows; rescale the series")
 
     def scan(ms):
         """Rows (m, lambda_hat, cost), from one lambda search over all ms;
         an m whose knots are degenerate scores (nan, inf)."""
-        kept = []
-        designs = scan_bases(times, ms, p, placement, kept)
+        designs = scan_bases(times, ms, p, placement)
         lam, cost = minimize_gcv_lambda(designs, y, q, config.lambda_grid)
-        found = dict(zip(kept, zip(lam.tolist(), cost.tolist())))
-        return [(m, *found.get(m, (float("nan"), float("inf")))) for m in ms]
+        return list(zip(ms, lam.tolist(), cost.tolist()))
 
     if config.m_scan == "strided" and n > STRIDE_THRESHOLD:
         stride = math.ceil(n / 100)
@@ -306,12 +307,9 @@ def model_to_dict(model: AlpsModel) -> dict:
 
 
 def save_model(model: AlpsModel, path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(model_to_dict(model), fh)
-            fh.write("\n")
-    except OSError as exc:
-        raise AlpsError(f"{path}: cannot write ({exc})") from exc
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(model_to_dict(model), fh)
+        fh.write("\n")
 
 
 def model_from_dict(doc: dict) -> AlpsModel:

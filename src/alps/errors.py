@@ -1,14 +1,13 @@
-"""Exception hierarchy shared by all modules, with the CLI exit-code mapping.
-
-Exit codes: 0 ok, 2 config/invalid input, 3 input parse, 4 numerical
-failure, 5 domain/coverage.
-"""
+"""Exception hierarchy shared by all modules, with the CLI exit-code
+mapping (``exit_code_for``)."""
 
 from __future__ import annotations
 
 
 class AlpsError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for the errors this package raises about its input,
+    configuration and numerics. An output that cannot be written raises
+    the OSError of the write."""
 
 
 class ConfigError(AlpsError):
@@ -72,7 +71,16 @@ class CoverageError(DomainError):
 
 
 def exit_code_for(exc: BaseException) -> int:
-    """Map an exception to the documented CLI exit code."""
+    """The CLI exit code of an exception:
+
+    - 0: success (no exception);
+    - 1: an output that cannot be written (OSError), or any other
+      exception that is not an AlpsError;
+    - 2: ConfigError, InvalidInputError (invalid configuration or data);
+    - 3: ParseError (an input file or model document that cannot be read);
+    - 4: NumericalError (a numerical failure in fitting or rejection);
+    - 5: DomainError (epochs outside the domain or the dense coverage).
+    """
     if isinstance(exc, (ConfigError, InvalidInputError)):
         return 2
     if isinstance(exc, ParseError):

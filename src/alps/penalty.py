@@ -49,13 +49,9 @@ def _gram_diagonals(q: int, c: int):
 def add_difference_gram(G: np.ndarray, q: int, lam: float = 1.0) -> np.ndarray:
     """G + lam * D_q'D_q for a c x c array G, in a new array: G's copy
     with lam times the penalty's 2q + 1 diagonals added, the same bytes as
-    ``G + lam * difference_gram(q, c)``."""
+    ``G + lam * (D.T @ D)`` for the (c-q) x c ``difference_matrix`` D."""
     out = np.array(G, dtype=float, order="C")
     index, values = _gram_diagonals(q, out.shape[0])
     out.reshape(-1)[index] += lam * values
     return out
 
-
-def difference_gram(q: int, c: int) -> np.ndarray:
-    """D_q'D_q for the (c-q) x c ``difference_matrix`` D_q, built without D."""
-    return add_difference_gram(np.zeros((c, c)), q)

@@ -343,7 +343,9 @@ def minimize_gcv_lambda(B, y, q: int, grid: LambdaGrid = LambdaGrid()):
     own BLAS scope and dropped before the next is drawn, then
     ``search_lambda`` searches all of them together. The result is then
     arrays (lambda_hat, cost), one entry per design, (nan, inf) where every
-    candidate is degenerate; each entry equals the one-design search.
+    candidate is degenerate; each entry equals the one-design search. A
+    None design (``basis.scan_bases``' degenerate knots) scores as a pencil
+    that is not definite.
 
     A ``BasisMatrix``'s rows are merged by epoch before diagonalizing (rows
     at one epoch are equal); designs that share one epochs array share the
@@ -355,6 +357,9 @@ def minimize_gcv_lambda(B, y, q: int, grid: LambdaGrid = LambdaGrid()):
     yy, one = float(y @ y), isinstance(B, (BasisMatrix, np.ndarray))
     profiles, epochs, (merge, ys) = [], None, _distinct_rows(None, y)
     for design in [B] if one else B:
+        if design is None:
+            profiles.append(GcvProfile(None))
+            continue
         Bv = _design(design)
         at = design.epochs if isinstance(design, BasisMatrix) else None
         if at is not epochs:

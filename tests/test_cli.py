@@ -1,6 +1,8 @@
+import builtins
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -176,7 +178,7 @@ class TestFitPredict:
         assert len(errors) == 3
         assert errors[0].startswith("b.csv: error: ParseError: ")
         assert errors[1].startswith("d.csv: error: ParseError: ")
-        assert errors[2].startswith("e.csv: error: AlpsError: ")
+        assert errors[2].startswith("e.csv: error: IsADirectoryError: ")
 
     def test_batch_rejects_a_bad_config_before_reading_a_file(self, tmp_path, monkeypatch):
         batch_dir = tmp_path / "batch"
@@ -298,6 +300,93 @@ class TestSynthCommand:
         assert result.exit_code == 2
 
 
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A series (alone in ``batch/``), its model and a fusion pair."""
+    d = tmp_path_factory.mktemp("inputs")
+    (d / "batch").mkdir()
+    for args in (["synth", "gramacy-lee", "--n", 60, "--seed", 3, "--out", d / "batch/s.csv"],
+                 ["fit", d / "batch/s.csv", "--model-out", d / "model.json"],
+                 ["synth", "fusion", "--obs-out", d / "obs.csv", "--dense-out", d / "dense.csv"]):
+        assert run(*args).exit_code == 0
+    return {"series": d / "batch/s.csv", "batch": d / "batch", "model": d / "model.json",
+            "obs": d / "obs.csv", "dense": d / "dense.csv"}
+
+
+# Each command with one output flag set to BAD; the others are writable.
+OUTPUT_FLAGS = [
+    ["fit", "{series}", "--model-out", "BAD"],
+    ["fit", "{batch}", "--batch", "--out-dir", "BAD"],
+    ["predict", "{model}", "--grid", 50, "--out", "BAD"],
+    ["predict", "{model}", "--grid", 50, "--out", "v.csv", "--derivative-out", "BAD"],
+    ["outliers", "{series}", "--flags-out", "BAD"],
+    ["outliers", "{series}", "--flags-out", "f.csv", "--model-out", "BAD"],
+    ["outliers", "{series}", "--flags-out", "f.csv", "--clean-out", "BAD"],
+    ["fuse", "{obs}", "{dense}", "--out", "BAD"],
+    ["compare", "{series}", "--out", "BAD"],
+    ["synth", "gramacy-lee", "--out", "BAD"],
+    ["synth", "gramacy-lee", "--out", "s.csv", "--truth-out", "BAD"],
+    ["synth", "fusion", "--obs-out", "BAD", "--dense-out", "d.csv"],
+    ["synth", "fusion", "--obs-out", "o.csv", "--dense-out", "BAD"],
+    ["synth", "fusion", "--obs-out", "o.csv", "--dense-out", "d.csv", "--truth-out", "BAD"],
+]
+
+
+def flag_id(args):
+    return " ".join([a for a in args[:2] if not a.startswith("{")] + [args[args.index("BAD") - 1]])
+
+
+@pytest.mark.parametrize("args", OUTPUT_FLAGS, ids=flag_id)
+def test_an_output_that_cannot_be_written_exits_1_with_one_error_line(
+        tmp_path, monkeypatch, inputs, args):
+    monkeypatch.chdir(tmp_path)
+    # A path in a missing directory; an output directory that is a file.
+    bad = "missing/out"
+    if "--out-dir" in args:
+        bad = "taken"
+        (tmp_path / bad).write_text("")
+    result = run(*[bad if a == "BAD" else str(a).format(**inputs) for a in args])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    line = re.fullmatch(r"error: (\w+): [^\n]+\n", result.stderr)
+    assert line, result.stderr
+    assert issubclass(getattr(builtins, line[1]), OSError)
+
+
+def overflowing_series(path, seed):
+    series, _ = alps.synth.gramacy_lee_series(n=40, noise_sd=0.05, seed=seed)
+    write_timeseries(path, series.with_values(series.values * 1e155))
+
+
+def run_alps(cwd, *args):
+    src = str(Path(alps.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "alps.cli", *map(str, args)], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_values_whose_squares_overflow_exit_2_with_one_error_line(tmp_path):
+    overflowing_series(tmp_path / "big.csv", 4)
+    proc = run_alps(tmp_path, "fit", "big.csv")
+    assert proc.returncode == 2
+    assert re.fullmatch(r"error: InvalidInputError: [^\n]+\n", proc.stderr), proc.stderr
+
+
+def test_batch_goes_on_past_a_file_whose_squares_overflow(tmp_path):
+    batch_dir = tmp_path / "batch"
+    batch_dir.mkdir()
+    overflowing_series(batch_dir / "a.csv", 4)
+    for name, seed in (("b", 1), ("c", 2)):
+        run("synth", "gramacy-lee", "--n", 40, "--seed", seed, "--out", batch_dir / f"{name}.csv")
+    proc = run_alps(tmp_path, "fit", "batch", "--batch", "--out-dir", "models")
+    assert proc.returncode == 2
+    assert sorted(p.name for p in (tmp_path / "models").iterdir()) == [
+        "b.model.json", "c.model.json"]
+    # The other fits may log a lambda on a grid end; the one error is a.csv's.
+    [error] = [line for line in proc.stderr.splitlines() if not line.startswith("WARNING:")]
+    assert error.startswith("a.csv: error: InvalidInputError: ")
+
+
 def test_import_leaves_scipy_stats_unloaded():
     code = "import sys, alps.cli; print('scipy.stats' in sys.modules)"
     src = str(Path(alps.__file__).resolve().parents[1])
@@ -333,10 +422,7 @@ def test_lambda_on_a_grid_end_is_a_warning_on_stderr(tmp_path, command):
     # Criterion-5 seed 1 selects the default grid's lower end exactly.
     series, _ = alps.synth.gramacy_lee_series(n=150, noise_sd=0.05, seed=1)
     write_timeseries(tmp_path / "s.csv", series)
-    src = str(Path(alps.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "alps.cli", *command], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_alps(tmp_path, *command)
     assert proc.returncode == 0, proc.stderr
     warning = "WARNING:alps.core:lambda_hat=0.0001 (m_hat="
     assert warning in proc.stderr and "lower end of the lambda grid" in proc.stderr

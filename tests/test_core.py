@@ -1,18 +1,21 @@
 import inspect
 import logging
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.stats
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from alps import _blas, core, solver
 from alps.basis import build_knot_vector, eval_basis, eval_basis_derivative
 from alps.errors import (
+    AlpsError,
     ConfigError,
     DegenerateKnotsError,
     InsufficientDataError,
+    InvalidInputError,
     OutOfDomainError,
     ParseError,
 )
@@ -201,6 +204,51 @@ def test_enough_distinct_epochs_give_definite_pencils_and_df_res_in_range(case):
         assert gcv_profile(Bu, ys, float(y @ y), config.q).mu is not None
     model = core.fit(TimeSeries(t, y), config)
     assert 0 < model.df_res <= t.size
+
+
+def test_values_whose_squares_overflow_are_invalid_input():
+    series, _ = gramacy_lee_series(n=40, noise_sd=0.05, seed=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="overflows"):
+            core.fit(series.with_values(series.values * 1e155))
+        with pytest.raises(InvalidInputError, match="overflows"):
+            core.fit(series.with_values(np.where(np.arange(40) == 7, 1e200, series.values)))
+    model = core.fit(series.with_values(series.values * 1e150))
+    band = core.predict(model, series.times)
+    assert np.all(np.isfinite(band.mean)) and np.all(np.isfinite(band.std))
+
+
+@st.composite
+def hostile_fits(draw):
+    """n = p + 2..12 epochs at an offset of 0, 2000 or 1e6 over a span of
+    1e-9..1e3, some repeated; constant values or normal noise, scaled
+    from 1e-300 to 1e155."""
+    p = draw(st.integers(2, 4))
+    config = core.FitConfig(p=p, q=draw(st.integers(1, p - 1)),
+                            placement=draw(st.sampled_from(["quantile", "equidistant"])))
+    n = draw(st.integers(p + 2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rng.uniform(0.0, 1.0, n)
+    if draw(st.booleans()):
+        u = rng.choice(u[: draw(st.integers(1, n))], n)
+    offset = draw(st.sampled_from([0.0, 2000.0, 1e6]))
+    t = offset + draw(st.sampled_from([1e-9, 1e-6, 1e-3, 1.0, 1e3])) * u
+    y = np.ones(n) if draw(st.booleans()) else rng.normal(size=n)
+    return TimeSeries(t, draw(st.sampled_from([1e-300, 1.0, 1e150, 1e155])) * y), config
+
+
+@settings(max_examples=150, deadline=None)
+@given(hostile_fits())
+@example((TimeSeries(2000.0 + np.arange(8.0), 1e155 * np.sin(np.arange(8.0))), core.FitConfig()))
+def test_hostile_inputs_fit_to_finite_bands_or_raise_an_alps_error(case):
+    series, config = case
+    try:
+        model = core.fit(series, config)
+    except AlpsError:
+        return
+    band = core.predict(model, series.times)
+    assert np.all(np.isfinite(band.mean)) and np.all(np.isfinite(band.std))
 
 
 class TestFitConfig:

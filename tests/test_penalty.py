@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from alps.basis import build_knot_vector, eval_basis
 from alps.errors import InvalidInputError
-from alps.penalty import add_difference_gram, difference_gram, difference_matrix
+from alps.penalty import add_difference_gram, difference_matrix
 from alps.solver import fit_penalized
 
 
@@ -106,6 +106,11 @@ class TestPenaltyMatrix:
         eigvals = np.linalg.eigvalsh(P)
         assert np.all(eigvals > -1e-10)
         assert np.sum(eigvals > 1e-10) == 8 - 2
+
+
+def difference_gram(q, c):
+    """D_q'D_q, built without D: the penalty's diagonals added onto zeros."""
+    return add_difference_gram(np.zeros((c, c)), q)
 
 
 class TestDifferenceGram:

@@ -3,9 +3,11 @@ import csv
 import numpy as np
 import pytest
 
-from alps import cli, core
+from click.testing import CliRunner
+
+from alps import cli, core, outliers
 from alps.errors import InvalidInputError, ParseError
-from alps.timeseries import TimeSeries, read_timeseries, write_timeseries
+from alps.timeseries import FLOAT_FMT, TimeSeries, read_timeseries, write_timeseries
 
 
 class TestTimeSeries:
@@ -134,3 +136,31 @@ class TestCsvBytes:
             tmp_path / "ref.csv", ["epoch", "mean", "std", "ci_lo", "ci_hi"],
             [band.epochs, band.mean, band.std, band.lower, band.upper])
         assert (tmp_path / "new.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("threshold", [None, 1e9])
+    def test_flags(self, tmp_path, threshold):
+        # Spiked campaign data flags points at the default thresholds, and
+        # nothing at 1e9.
+        rng = np.random.default_rng(7000)
+        t = np.repeat(np.sort(rng.uniform(0, 1, 50)), 3)
+        y = np.sin(2 * np.pi * t) + rng.normal(0, 0.1, 150)
+        y[[30, 70, 110]] += 1.0
+        write_timeseries(tmp_path / "s.csv", TimeSeries(t, y))
+        thresholds = [] if threshold is None else ["--threshold1", threshold,
+                                                   "--threshold2", threshold]
+        result = CliRunner().invoke(cli.main, [str(a) for a in [
+            "outliers", tmp_path / "s.csv", *thresholds, "--flags-out", tmp_path / "new.csv"]])
+        assert result.exit_code == 0, result.output
+        series = read_timeseries(tmp_path / "s.csv")
+        report = outliers.detect_and_refit(
+            series, core.FitConfig(), *([] if threshold is None else [threshold] * 2))
+        with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["index", "time", "value", "level"])
+            for level, flagged in ((1, report.level1_indices), (2, report.level2_indices)):
+                for i in flagged:
+                    writer.writerow([i, FLOAT_FMT % series.times[i],
+                                     FLOAT_FMT % series.values[i], level])
+        expected = (tmp_path / "ref.csv").read_bytes()
+        assert (tmp_path / "new.csv").read_bytes() == expected
+        assert (expected.count(b"\n") > 1) == (threshold is None)
