@@ -1,6 +1,6 @@
 """Record which (m_hat, lambda_hat, gcv_cost) every fit selects on named
-inputs, with a sha256 of each fit's model document, and compare two such
-records.
+inputs, with a sha256 of each fit's model document and one of its bands,
+and compare two such records.
 
     PYTHONPATH=src python scripts/selection_drift.py --out drift.json
     python scripts/selection_drift.py --compare parent.json change.json
@@ -27,10 +27,17 @@ The inputs:
 The benchmark inputs come from ``perfbench/inputs.py``, imported read-only.
 ``--quick`` records only seeds 1, 0-9 and 0-2 and skips the long record.
 Only the degenerate group and the long record need ``FitConfig``.
+
+The band hash covers the ``predict`` and ``predict_derivative`` mean and
+std bytes of ``model_from_dict(model_to_dict(model))`` at 101 epochs
+across its domain, so a change of the document's format alone shows as
+changed documents with unchanged bands.
+
 ``--compare`` lists every input whose outcome changed between a model and
 an error (or between error types) before comparing the models, and every
-cell whose flags changed. It exits 1 when any outcome, flag tuple, m_hat or
-model document differs, and 0 otherwise.
+cell whose flags changed, then the changed documents and the changed bands
+apart. It exits 1 when any outcome, flag tuple, m_hat, model document or
+band differs, and 0 otherwise.
 """
 
 import argparse
@@ -49,9 +56,16 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 def selected(model) -> list:
     from alps import core
 
-    doc = json.dumps(core.model_to_dict(model)).encode()
+    doc = core.model_to_dict(model)
+    loaded = core.model_from_dict(doc)
+    epochs = np.linspace(*loaded.domain, 101)
+    bands = hashlib.sha256()
+    for fn in (core.predict, core.predict_derivative):
+        band = fn(loaded, epochs)
+        bands.update(band.mean.tobytes())
+        bands.update(band.std.tobytes())
     return [model.m_hat, model.lambda_hat, model.fit_metadata.gcv_cost,
-            hashlib.sha256(doc).hexdigest()]
+            hashlib.sha256(json.dumps(doc).encode()).hexdigest(), bands.hexdigest()]
 
 
 def benchmark_inputs(out: dict, seeds) -> None:
@@ -144,7 +158,7 @@ def _outcome(entry) -> str:
 
 def compare(a: dict, b: dict) -> bool:
     """Print the differences between two records; whether any outcome,
-    flag tuple, m_hat or model document differs."""
+    flag tuple, m_hat, model document or band differs."""
     keys = sorted(k for k in a.keys() & b.keys() if not k.endswith(("/seconds", "/flags")))
     flags = sorted(k for k in a.keys() & b.keys() if k.endswith("/flags"))
     flag_diff = [k for k in flags if a[k] != b[k]]
@@ -162,6 +176,8 @@ def compare(a: dict, b: dict) -> bool:
     # Entries of a lambda search alone (m=n-1) carry no model document.
     docs = [k for k in keys if len(a[k]) > 3 and len(b[k]) > 3]
     doc_diff = [k for k in docs if a[k][3] != b[k][3]]
+    bands = [k for k in keys if len(a[k]) > 4 and len(b[k]) > 4]
+    band_diff = [k for k in bands if a[k][4] != b[k][4]]
     dlog = max(((abs(math.log(b[k][1] / a[k][1])), k) for k in finite), default=(0.0, None))
     dcost = max(((abs(b[k][2] - a[k][2]) / max(abs(a[k][2]), 1e-300), k) for k in finite),
                 default=(0.0, None))
@@ -174,10 +190,12 @@ def compare(a: dict, b: dict) -> bool:
     print(f"largest relative gcv_cost gap: {dcost[0]:.3g} ({dcost[1]})")
     print(f"model documents differing: {len(doc_diff)}/{len(docs)}"
           + "".join(f"\n  {k}" for k in doc_diff))
+    print(f"bands differing: {len(band_diff)}/{len(bands)}"
+          + "".join(f"\n  {k}" for k in band_diff))
     for k in sorted(a.keys() & b.keys()):
         if k.endswith("/seconds"):
             print(f"{k}: {a[k]:.2f} -> {b[k]:.2f}")
-    return bool(changed or flag_diff or m_diff or doc_diff)
+    return bool(changed or flag_diff or m_diff or doc_diff or band_diff)
 
 
 def main():

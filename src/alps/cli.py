@@ -7,6 +7,7 @@ place that does this; ``fit --batch`` does it per file.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import logging
 import sys
@@ -129,7 +130,8 @@ def _run_batch_fit(data_dir: Path, out_dir: Path, config: core.FitConfig) -> Non
     for path in files:
         try:
             series = read_timeseries(path)
-            model = core.fit(series, config)
+            with _logged_as(path.name):
+                model = core.fit(series, config)
             core.save_model(model, out_dir / (path.stem + ".model.json"))
         except (AlpsError, OSError) as exc:
             click.echo(f"{path.name}: {_error_line(exc)}", err=True)
@@ -139,6 +141,21 @@ def _run_batch_fit(data_dir: Path, out_dir: Path, config: core.FitConfig) -> Non
         click.echo(f"{path.name}: " + " ".join(_report_lines(model)))
     if first_failure is not None:
         sys.exit(exit_code_for(first_failure))
+
+
+@contextlib.contextmanager
+def _logged_as(name: str):
+    """Prefix ``name: `` to what ``core`` logs meanwhile, as on the batch's
+    error lines (propagated records skip the ``alps`` logger's filters)."""
+    def tag(record):
+        record.msg, record.args = f"{name}: {record.getMessage()}", None
+        return True
+
+    core.log.addFilter(tag)
+    try:
+        yield
+    finally:
+        core.log.removeFilter(tag)
 
 
 def _prediction_epochs(model: core.AlpsModel, grid: int | None, at: str | None) -> np.ndarray:

@@ -6,8 +6,9 @@ m = 1..n-1 in one stacked pass per block of them, and hands the bases, one
 dense basis at a time, to one lambda search, which diagonalizes each in
 turn and then scores all of them in lock-step. It keeps the configuration
 with the smallest GCV cost, preferring fewer sections on ties. The refit
-at the winning configuration caches the normal factorization, and the
-model its inverse factor, so bands at new epochs never re-solve the fit.
+at the winning configuration keeps the p + 1 diagonals of its Cholesky
+factor, and the model its inverse factor, so bands at new epochs never
+re-solve the fit.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .solver import (
 from .timeseries import TimeSeries
 
 MODEL_FORMAT = "alps-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 # Strided scan kicks in above this size when requested.
 STRIDE_THRESHOLD = 500
@@ -109,9 +110,11 @@ class FitMetadata:
 class AlpsModel:
     """Immutable fitted model; all prediction state is cached here.
 
-    ``inverse_factor`` is W = L^{-1} for the normal matrix A = LL', built
-    from ``normal_factorization`` when the model is made, by the same
-    routine for a fit and for a loaded document."""
+    ``factor_diagonals`` holds the p + 1 diagonals of L, the Cholesky factor
+    of the normal matrix A = LL' (A has bandwidth p), the main one first:
+    diagonal k holds the c - k entries L[k + i, i]. ``inverse_factor`` is
+    W = L^{-1}, built from them when the model is made, by the same routine
+    for a fit and for a loaded document."""
 
     knot_vector: KnotVector
     p: int
@@ -120,14 +123,16 @@ class AlpsModel:
     theta: np.ndarray
     df_res: float
     sigma2: float
-    normal_factorization: tuple
+    factor_diagonals: tuple
     fit_metadata: FitMetadata
     inverse_factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        factor, lower = self.normal_factorization
-        upper = np.tril(factor).T if lower else np.triu(factor)
-        with blas_threads_for(upper.shape[0]):
+        c = self.factor_diagonals[0].size
+        upper = np.zeros((c, c))  # L'
+        for k, diagonal in enumerate(self.factor_diagonals):
+            upper[np.arange(c - k), np.arange(k, c)] = diagonal
+        with blas_threads_for(c):
             # inv(L') = W', so W comes out Fortran-ordered: its columns,
             # which bands gather, are contiguous.
             object.__setattr__(self, "inverse_factor", np.linalg.inv(upper).T)
@@ -217,8 +222,14 @@ def fit(data: TimeSeries, config: FitConfig = FitConfig()) -> AlpsModel:
     return AlpsModel(
         knot_vector=kv, p=p, q=q, lambda_hat=lambda_hat, theta=result.theta,
         df_res=result.df_res, sigma2=result.sigma2,
-        normal_factorization=result.normal_factorization, fit_metadata=meta,
+        factor_diagonals=_lower_diagonals(result.normal_factorization[0], p), fit_metadata=meta,
     )
+
+
+def _lower_diagonals(factor: np.ndarray, p: int) -> tuple:
+    """Diagonals 0..p below the main one of a factor with L in its lower
+    triangle, as ``fit_penalized`` leaves it; the main diagonal first."""
+    return tuple(np.diagonal(factor, -k).copy() for k in range(p + 1))
 
 
 def _select(rows):
@@ -283,7 +294,6 @@ def predict_derivative(model: AlpsModel, epochs, alpha: float = DEFAULT_ALPHA) -
 
 
 def model_to_dict(model: AlpsModel) -> dict:
-    factor, lower = model.normal_factorization
     return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -299,10 +309,9 @@ def model_to_dict(model: AlpsModel) -> dict:
         "ridged": model.fit_metadata.ridged,
         "knots": model.knot_vector.knots.tolist(),
         "theta": model.theta.tolist(),
-        # The factor as produced by the factorization routine; storing it
+        # L's band as produced by the factorization routine; storing it
         # verbatim makes load-then-predict bit-identical to in-memory use.
-        "normal_factor": np.asarray(factor).tolist(),
-        "factor_lower": bool(lower),
+        "factor_diagonals": [d.tolist() for d in model.factor_diagonals],
     }
 
 
@@ -312,26 +321,47 @@ def save_model(model: AlpsModel, path) -> None:
         fh.write("\n")
 
 
+def _version_1_diagonals(doc: dict, p: int, c: int) -> tuple:
+    """L's diagonals from a version-1 document, which stores the factorization
+    routine's whole c x c output with L in its lower triangle."""
+    if doc.get("factor_lower") is not True:
+        raise ParseError(f"version 1 needs factor_lower true, got {doc.get('factor_lower')!r}")
+    factor = np.array(doc["normal_factor"], dtype=float)
+    if factor.shape != (c, c):
+        raise ParseError("factor dimensions inconsistent with m + p")
+    # Every fit leaves L exactly zero beyond p places below its diagonal.
+    if np.any(np.tril(factor, -p - 1) != 0):
+        raise ParseError(f"normal_factor is not a Cholesky factor with bandwidth p = {p}")
+    return _lower_diagonals(factor, p)
+
+
 def model_from_dict(doc: dict) -> AlpsModel:
+    """The model of a version-2 or a version-1 document."""
     try:
         if doc.get("format") != MODEL_FORMAT:
             raise ParseError(f"not a {MODEL_FORMAT} document")
+        version = doc.get("version")
+        if type(version) is not int or version not in (1, 2):
+            raise ParseError(f"unsupported document version {version!r}; known: 1, 2")
         p, q, m = int(doc["p"]), int(doc["q"]), int(doc["m"])
         FitConfig(p=p, q=q)  # a degree or order no fit accepts gives broken bands
         kv = KnotVector(np.array(doc["knots"], dtype=float), p=p, m=m)
         theta = np.array(doc["theta"], dtype=float)
-        factor = np.array(doc["normal_factor"], dtype=float)
         c = m + p
-        if theta.shape != (c,) or factor.shape != (c, c):
-            raise ParseError("coefficient/factor dimensions inconsistent with m + p")
-        lower = bool(doc["factor_lower"])
-        # Every fit leaves the stored triangle exactly zero beyond p places
-        # off a positive diagonal; bands invert it.
-        beyond = np.tril(factor, -p - 1) if lower else np.triu(factor, p + 1)
-        if np.any(beyond != 0) or not np.all(np.diagonal(factor) > 0):
-            raise ParseError(f"normal_factor is not a Cholesky factor with bandwidth p = {p}")
+        if theta.shape != (c,):
+            raise ParseError("coefficient dimensions inconsistent with m + p")
+        if version == 1:
+            diagonals = _version_1_diagonals(doc, p, c)
+        else:
+            diagonals = tuple(np.array(d, dtype=float) for d in doc["factor_diagonals"])
+            if [d.shape for d in diagonals] != [(c - k,) for k in range(p + 1)]:
+                raise ParseError(f"factor_diagonals must be p + 1 = {p + 1} lists of "
+                                 f"lengths c = {c} down to c - p = {c - p}")
+        if not np.all(diagonals[0] > 0):
+            raise ParseError("the factor's diagonal is not positive")
         lam, sigma2, df_res = float(doc["lambda"]), float(doc["sigma2"]), float(doc["df_res"])
-        finite = all(np.all(np.isfinite(v)) for v in (lam, sigma2, df_res, theta, factor, kv.knots))
+        finite = all(np.all(np.isfinite(v))
+                     for v in (lam, sigma2, df_res, theta, kv.knots, *diagonals))
         if not (finite and sigma2 >= 0 and df_res > 0 and kv.domain[0] < kv.domain[1]):
             raise ParseError(f"NaN or zero-width bands: {sigma2=}, {df_res=}, {kv.domain=}")
         meta = FitMetadata(
@@ -341,8 +371,7 @@ def model_from_dict(doc: dict) -> AlpsModel:
         return AlpsModel(
             knot_vector=kv, p=p, q=q, lambda_hat=lam, theta=theta,
             df_res=df_res, sigma2=sigma2,
-            normal_factorization=(factor, lower),
-            fit_metadata=meta,
+            factor_diagonals=diagonals, fit_metadata=meta,
         )
     except (AttributeError, KeyError, TypeError, ValueError, ConfigError, InvalidInputError) as exc:
         raise ParseError(f"malformed model document: {exc}") from exc

@@ -129,7 +129,7 @@ class TestFitPredict:
         run("fit", data, "--model-out", model_path)
         doc = json.loads(model_path.read_text())
         c = len(doc["knots"])  # m + 2p + 1 knots with p = -1
-        doc.update(p=-1, m=c + 1, theta=[0.0] * c, normal_factor=np.eye(c).tolist())
+        doc.update(p=-1, m=c + 1, theta=[0.0] * c, factor_diagonals=[])
         model_path.write_text(json.dumps(doc))
         result = run("predict", model_path, "--grid", 5, "--out", tmp_path / "grid.csv")
         assert result.exit_code == 3
@@ -382,9 +382,15 @@ def test_batch_goes_on_past_a_file_whose_squares_overflow(tmp_path):
     assert proc.returncode == 2
     assert sorted(p.name for p in (tmp_path / "models").iterdir()) == [
         "b.model.json", "c.model.json"]
-    # The other fits may log a lambda on a grid end; the one error is a.csv's.
-    [error] = [line for line in proc.stderr.splitlines() if not line.startswith("WARNING:")]
+    # b.csv's lambda sits on the grid's lower end: its warning names it, as
+    # the one error line names a.csv; a single-file fit's warning names none.
+    lines = proc.stderr.splitlines()
+    [error] = [line for line in lines if not line.startswith("WARNING:")]
     assert error.startswith("a.csv: error: InvalidInputError: ")
+    [warning] = [line for line in lines if line.startswith("WARNING:")]
+    assert warning.startswith("WARNING:alps.core:b.csv: lambda_hat=")
+    single = run_alps(tmp_path, "fit", batch_dir / "b.csv")
+    assert single.stderr == warning.replace("b.csv: ", "", 1) + "\n"
 
 
 def test_import_leaves_scipy_stats_unloaded():
@@ -424,6 +430,8 @@ def test_lambda_on_a_grid_end_is_a_warning_on_stderr(tmp_path, command):
     write_timeseries(tmp_path / "s.csv", series)
     proc = run_alps(tmp_path, *command)
     assert proc.returncode == 0, proc.stderr
-    warning = "WARNING:alps.core:lambda_hat=0.0001 (m_hat="
+    # A batch names the file, as it does on its error lines.
+    named = "s.csv: " if "--batch" in command else ""
+    warning = f"WARNING:alps.core:{named}lambda_hat=0.0001 (m_hat="
     assert warning in proc.stderr and "lower end of the lambda grid" in proc.stderr
     assert "WARNING" not in proc.stdout

@@ -1,6 +1,9 @@
 import inspect
+import json
 import logging
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,9 @@ from alps.errors import (
 from alps.solver import LambdaGrid, fit_penalized, gcv_profile, minimize_gcv_lambda
 from alps.synth import gramacy_lee, gramacy_lee_series
 from alps.timeseries import TimeSeries
+
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def rmse(a, b):
@@ -326,18 +332,27 @@ def _model_at(times, y, m, p, q, lam, placement="equidistant"):
     kv = build_knot_vector(times, m, p, placement)
     result = fit_penalized(eval_basis(kv, times), y, q, lam)
     meta = core.FitMetadata(gcv_cost=0.0, placement=placement, n=len(times))
+    diagonals = core._lower_diagonals(result.normal_factorization[0], p)
     return core.AlpsModel(
         knot_vector=kv, p=p, q=q, lambda_hat=lam, theta=result.theta, df_res=result.df_res,
-        sigma2=result.sigma2, normal_factorization=result.normal_factorization,
-        fit_metadata=meta)
+        sigma2=result.sigma2, factor_diagonals=diagonals, fit_metadata=meta)
 
 
-def _stored_upper(model):
-    """``model`` loaded from a document whose factor is stored upper."""
+def _dense_lower(model):
+    """The factor L (A = LL') as a dense matrix, from its diagonals."""
+    c = model.factor_diagonals[0].size
+    L = np.zeros((c, c))
+    for k, diagonal in enumerate(model.factor_diagonals):
+        L[np.arange(k, c), np.arange(c - k)] = diagonal
+    return L
+
+
+def _version_1(model):
+    """``model``'s document in version 1: the whole factor, stored lower."""
     doc = core.model_to_dict(model)
-    doc["normal_factor"] = np.tril(model.normal_factorization[0]).T.tolist()
-    doc["factor_lower"] = False
-    return core.model_from_dict(doc)
+    del doc["factor_diagonals"]
+    doc.update(version=1, normal_factor=_dense_lower(model).tolist(), factor_lower=True)
+    return doc
 
 
 def _band_cases():
@@ -355,17 +370,14 @@ def _band_cases():
     for p in (2, 3, 4):
         for q in range(1, p):
             yield f"p{p}q{q}", _model_at(t, y, 15, p, q, 0.3, "quantile")
-    yield "stored-upper", _stored_upper(_model_at(t, y, 15, 4, 2, 0.3, "quantile"))
     series, _ = gramacy_lee_series(n=60, noise_sd=0.1, seed=3)
     yield "fit", core.fit(series)
 
 
 def _dense_band(model, epochs, evaluate):
     """Mean and b'A^{-1}b from the dense basis and a dense triangular solve."""
-    factor, lower = model.normal_factorization
-    L = np.tril(factor) if lower else np.triu(factor).T
     B = evaluate(model.knot_vector, epochs).values
-    X = scipy.linalg.solve_triangular(L, B.T, lower=True)
+    X = scipy.linalg.solve_triangular(_dense_lower(model), B.T, lower=True)
     return B @ model.theta, np.sum(X * X, axis=0)
 
 
@@ -447,39 +459,98 @@ class TestSerialization:
         bad.write_text('{"format": "alps-model", "p": 4}')
         with pytest.raises(ParseError):
             core.load_model(bad)
-        # A factor with a nonzero beyond p places off its diagonal in the
-        # stored triangle, or without a positive diagonal, stored either way up.
+        # Version 1: a factor with a nonzero beyond p places below its
+        # diagonal, or without a positive diagonal.
         _, model = noisy_model
-        doc, p = core.model_to_dict(model), model.p
-        L = np.tril(model.normal_factorization[0])
-        for lower, factor in ((True, L), (False, L.T)):
-            doc.update(normal_factor=factor.tolist(), factor_lower=lower)
-            core.model_from_dict(doc)  # the fit's band
-            for i, j, value in ((p + 1, 0, 1e-300), (-1, 0, -2.0), (3, 3, 0.0), (3, 3, -1.0)):
-                broken = factor.copy()
-                broken[(i, j) if lower else (j, i)] = value
-                doc["normal_factor"] = broken.tolist()
-                with pytest.raises(ParseError):
-                    core.model_from_dict(doc)
+        doc, p = _version_1(model), model.p
+        L = np.array(doc["normal_factor"])
+        core.model_from_dict(doc)  # the fit's band
+        for i, j, value in ((p + 1, 0, 1e-300), (-1, 0, -2.0), (3, 3, 0.0), (3, 3, -1.0)):
+            broken = L.copy()
+            broken[i, j] = value
+            with pytest.raises(ParseError):
+                core.model_from_dict(dict(doc, normal_factor=broken.tolist()))
+        # Version 2: the wrong number of diagonals, a diagonal of the wrong
+        # length, a main diagonal that is not positive and finite, or
+        # diagonals that are not a list of lists.
+        doc = core.model_to_dict(model)
+        diagonals = doc["factor_diagonals"]
+        core.model_from_dict(doc)
+        cases = [diagonals[:-1], diagonals + [diagonals[-1][1:]],
+                 [diagonals[0][1:]] + diagonals[1:], diagonals[:-1] + [diagonals[-1] + [0.0]],
+                 diagonals[0], [diagonals], "diagonals", 1.0, None,
+                 {str(k): d for k, d in enumerate(diagonals)}]
+        for value in (0.0, -1.0, float("nan"), float("inf")):
+            cases.append([diagonals[0][:3] + [value] + diagonals[0][4:]] + diagonals[1:])
+        for case in cases:
+            with pytest.raises(ParseError):
+                core.model_from_dict(dict(doc, factor_diagonals=case))
+
+    @pytest.mark.parametrize("version", [3, "2", None, 2.0, True, 0],
+                             ids=["3", "str2", "missing", "float2", "true", "0"])
+    def test_unknown_versions_are_parse_errors(self, noisy_model, version):
+        doc = core.model_to_dict(noisy_model[1])
+        if version is None:
+            del doc["version"]
+        else:
+            doc["version"] = version
+        with pytest.raises(ParseError, match=re.escape(f"version {version!r}")):
+            core.model_from_dict(doc)
+
+    def test_version_1_factor_must_be_stored_lower(self):
+        # A fit's version-1 document: the factorization routine left A's
+        # own entries in the upper triangle. Read as L' they pass the band
+        # and diagonal checks, and on this model give stds off by up to 125%.
+        doc = json.loads((DATA / "model_v1.json").read_text())
+        core.model_from_dict(doc)
+        for flag in (False, "false", "no", 1, None):
+            with pytest.raises(ParseError, match="factor_lower"):
+                core.model_from_dict(dict(doc, factor_lower=flag))
+        del doc["factor_lower"]
+        with pytest.raises(ParseError, match="factor_lower"):
+            core.model_from_dict(doc)
+
+    def test_version_1_fixture_loads_and_saves_as_version_2(self, tmp_path):
+        # model_v1.json and its band CSV were written by the version-1 writer.
+        model = core.load_model(DATA / "model_v1.json")
+        want = np.loadtxt(DATA / "model_v1_band.csv", delimiter=",", skiprows=1)
+        epochs = want[:, 0]
+        bands = [fn(model, epochs) for fn in (core.predict, core.predict_derivative)]
+        got = np.column_stack([epochs] + [x for band in bands for x in (band.mean, band.std)])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        path = tmp_path / "model.json"
+        core.save_model(model, path)
+        doc = json.loads(path.read_text())
+        assert doc["version"] == 2
+        assert "normal_factor" not in doc and "factor_lower" not in doc
+        upgraded = core.load_model(path)
+        for fn, band in zip((core.predict, core.predict_derivative), bands):
+            again = fn(upgraded, epochs)
+            for a, b in ((band.mean, again.mean), (band.std, again.std),
+                         (band.half_width, again.half_width)):
+                assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("field, value", [
         ("sigma2", float("nan")), ("sigma2", -2.0), ("sigma2", float("inf")),
         ("df_res", 0.0), ("df_res", -1.0), ("df_res", float("nan")),
         ("lambda", float("nan")), ("lambda", float("inf")),
-        ("theta", float("nan")), ("normal_factor", float("inf")), ("knots", float("nan")),
+        ("theta", float("nan")), ("normal_factor", float("inf")),
+        ("factor_diagonals", float("inf")), ("knots", float("nan")),
         ("p", -1), ("p", 0), ("p", 1), ("p", 5), ("q", 0), ("q", 4),
     ])
     def test_documents_that_give_broken_bands_are_rejected(self, noisy_model, field, value):
         _, model = noisy_model
-        doc = core.model_to_dict(model)
+        # normal_factor is version 1's; every other field is version 2's.
+        doc = _version_1(model) if field == "normal_factor" else core.model_to_dict(model)
         if field == "p":
             # Sections, theta and factor sized for degree p on the same knots.
             c = len(doc["knots"]) - value - 1
-            doc.update(m=c - value, theta=[0.0] * c, normal_factor=np.eye(c).tolist())
+            doc.update(m=c - value, theta=[0.0] * c,
+                       factor_diagonals=[[float(k == 0)] * (c - k) for k in range(value + 1)])
         if isinstance(doc[field], list):
-            doc[field] = [list(row) for row in doc[field]] if field == "normal_factor" \
-                else list(doc[field])
-            if field == "normal_factor":
+            nested = field in ("normal_factor", "factor_diagonals")
+            doc[field] = [list(row) for row in doc[field]] if nested else list(doc[field])
+            if nested:
                 doc[field][1][1] = value
             else:
                 doc[field][1] = value
