@@ -60,10 +60,26 @@ class KnotVector:
 
 @dataclass(frozen=True)
 class BasisMatrix:
-    """Dense basis (or basis-derivative) values at evaluation epochs."""
+    """Basis (or basis-derivative) values at evaluation epochs, kept as the
+    p + 1 functions that can be nonzero at each: ``local[k, e]`` belongs to
+    function ``first[e] + k`` of ``n_bases``. ``values`` is the dense
+    (epochs, n_bases) matrix, built on each access."""
 
-    values: np.ndarray
     epochs: np.ndarray
+    first: np.ndarray
+    local: np.ndarray
+    n_bases: int
+
+    @property
+    def values(self) -> np.ndarray:
+        out = np.zeros((self.first.size, self.n_bases))
+        rows = np.arange(self.first.size)[:, None]
+        out[rows, self.first[:, None] + np.arange(self.local.shape[0])] = self.local.T
+        return out
+
+    def at(self, rows) -> BasisMatrix:
+        """The basis at the epochs indexed by ``rows``."""
+        return BasisMatrix(self.epochs[rows], self.first[rows], self.local[:, rows], self.n_bases)
 
 
 def build_knot_vector(times, m: int, p: int, placement: str = "quantile") -> KnotVector:
@@ -177,20 +193,10 @@ def _local_values(knots: np.ndarray, p: int, hi: float, t: np.ndarray, degree: i
     return span - degree, values, near
 
 
-def _dense(first: np.ndarray, values: np.ndarray, n_cols: int) -> np.ndarray:
-    """Dense (epochs, n_cols) matrix whose row e holds column e of the
-    local ``values`` from index ``first[e]`` on."""
-    out = np.zeros((first.size, n_cols))
-    out[np.arange(first.size)[:, None], first[:, None] + np.arange(values.shape[0])] = values.T
-    return out
-
-
-def _local_basis(kv: KnotVector, epochs, derivative: bool = False):
-    """(epochs, first, values) of the basis (or, with ``derivative``, its
-    first derivative) at the epochs: ``values[k, e]`` belongs to basis
-    function ``first[e] + k``, k = 0..p, the only ones that can be nonzero
-    at epoch e. Derivative terms whose knot-span denominator vanishes are
-    0."""
+def eval_basis(kv: KnotVector, epochs, derivative: bool = False) -> BasisMatrix:
+    """All ``c = m + p`` degree-p basis functions (or, with ``derivative``,
+    their first derivatives) at the epochs. Derivative terms whose
+    knot-span denominator vanishes are 0."""
     p = kv.p
     if derivative and p < 1:
         raise InvalidInputError("derivative needs degree p >= 1")
@@ -199,27 +205,17 @@ def _local_basis(kv: KnotVector, epochs, derivative: bool = False):
     degree = p - 1 if derivative else p
     first, lower, near = _local_values(kv.knots[None], p, kv.domain[1], t, degree)
     if not derivative:
-        return t, first, lower[1:-1]
+        return BasisMatrix(t, first, lower[1:-1], kv.n_bases)
     # Functions i = first-1..first+p-1: knots i, i+p, then i+1, i+p+1.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         values = (_term(p, near[p : 2 * p + 1] - near[: p + 1], lower[:-1])
                   - _term(p, near[p + 1 :] - near[1 : p + 2], lower[1:]))
-    return t, first - 1, values
-
-
-def eval_basis(kv: KnotVector, epochs) -> BasisMatrix:
-    """Evaluate all ``c = m + p`` degree-p basis functions at the epochs."""
-    t, first, values = _local_basis(kv, epochs)
-    return BasisMatrix(values=_dense(first, values, kv.n_bases), epochs=t)
+    return BasisMatrix(t, first - 1, values, kv.n_bases)
 
 
 def eval_basis_derivative(kv: KnotVector, epochs) -> BasisMatrix:
-    """First derivatives of the basis functions at the epochs.
-
-    Terms whose knot-span denominator vanishes evaluate to 0.
-    """
-    t, first, values = _local_basis(kv, epochs, derivative=True)
-    return BasisMatrix(values=_dense(first, values, kv.n_bases), epochs=t)
+    """First derivatives of the basis functions at the epochs."""
+    return eval_basis(kv, epochs, derivative=True)
 
 
 # Most (section count, epoch) pairs one stacked pass of ``scan_bases``
@@ -233,8 +229,8 @@ def scan_bases(times: np.ndarray, ms, p: int, placement: str):
     (finite, two or more unique), or None where its knots are degenerate.
     Knots and local values come from one stacked pass per block of
     ``_SCAN_ROWS`` pairs, bit for bit ``build_knot_vector`` and
-    ``eval_basis``; each dense basis is built as it is drawn, so the caller
-    can keep one alive at a time."""
+    ``eval_basis``; each basis holds its slice of the block's local values,
+    and no dense basis is built here."""
     unique, ms = np.unique(times), np.asarray(ms, dtype=int)
     per = max(1, _SCAN_ROWS // times.size)
     for block in (ms[i : i + per] for i in range(0, ms.size, per)):
@@ -246,5 +242,4 @@ def scan_bases(times: np.ndarray, ms, p: int, placement: str):
                 yield None
                 continue
             pairs = slice(r * times.size, (r + 1) * times.size)
-            yield BasisMatrix(values=_dense(first[pairs], values[1:-1, pairs], m + p),
-                              epochs=times)
+            yield BasisMatrix(times, first[pairs], values[1:-1, pairs], m + p)

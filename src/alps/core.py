@@ -2,13 +2,13 @@
 and produce predictions, derivatives, and t-confidence bands.
 
 The scan places the knots and evaluates the basis of section counts
-m = 1..n-1 in one stacked pass per block of them, and hands the bases, one
-dense basis at a time, to one lambda search, which diagonalizes each in
-turn and then scores all of them in lock-step. It keeps the configuration
-with the smallest GCV cost, preferring fewer sections on ties. The refit
-at the winning configuration keeps the p + 1 diagonals of its Cholesky
-factor, and the model its inverse factor, so bands at new epochs never
-re-solve the fit.
+m = 1..n-1 in one stacked pass per block of them, and hands the bases, as
+each epoch's p + 1 local values, to one lambda search, which diagonalizes
+each in turn and then scores all of them in lock-step. It keeps the
+configuration with the smallest GCV cost, preferring fewer sections on
+ties. The refit at the winning configuration keeps the p + 1 diagonals of
+its Cholesky factor, and the model its inverse factor, so bands at new
+epochs never re-solve the fit.
 """
 
 from __future__ import annotations
@@ -24,13 +24,11 @@ from . import _student_t
 from ._blas import blas_threads_for
 from .basis import (
     PLACEMENTS,
+    BasisMatrix,
     KnotVector,
-    _local_basis,
     build_knot_vector,
     eval_basis,
-    # Not called here (bands take local values), but the benchmark's tracer
-    # (perfbench/tracing.py) wraps the name in this module.
-    eval_basis_derivative,  # noqa: F401
+    eval_basis_derivative,
     scan_bases,
 )
 from .errors import (
@@ -244,14 +242,14 @@ def _select(rows):
 _BAND_BLOCK = 1 << 16
 
 
-def _mean_and_quad(model: AlpsModel, first: np.ndarray, values: np.ndarray):
-    """Fitted values at epochs given by their local basis values
-    (``basis._local_basis``: ``values[k, e]`` belongs to function
-    ``first[e] + k``) and, per epoch's basis row b, the fit-variance
-    quadratic form b'A^{-1}b = ||Wb||^2, W = L^{-1} for A = LL'. The mean
-    sums p + 1 products; Wb sums the p + 1 columns of W that b weights, for
+def _mean_and_quad(model: AlpsModel, B: BasisMatrix):
+    """Fitted values at the epochs of basis ``B`` and, per epoch's basis
+    row b, the fit-variance quadratic form b'A^{-1}b = ||Wb||^2,
+    W = L^{-1} for A = LL'. Both read B's local values only: the mean sums
+    p + 1 products; Wb sums the p + 1 columns of W that b weights, for
     blocks of at most ``_BAND_BLOCK`` entries, each epoch's bit for bit the
     same in any block."""
+    first, values = B.first, B.local
     cols = first + np.arange(values.shape[0])[:, None]
     mean = np.add.reduce(values * model.theta[cols], axis=0)
     columns = model.inverse_factor.T  # row j is W's column j
@@ -270,27 +268,26 @@ def _t_quantile(model: AlpsModel, alpha: float) -> float:
     return _student_t.quantile(model.df_res, alpha)
 
 
-def _band(model: AlpsModel, local, alpha: float) -> PredictionBand:
-    """The band at ``local``, ``basis._local_basis``'s (epochs, first, values)."""
+def _band(model: AlpsModel, B: BasisMatrix, alpha: float) -> PredictionBand:
+    """The band at the epochs of basis (or basis-derivative) ``B``."""
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-    epochs, first, values = local
-    mean, quad = _mean_and_quad(model, first, values)
+    mean, quad = _mean_and_quad(model, B)
     std = math.sqrt(max(model.sigma2, 0.0)) * np.sqrt(quad)
     tq = _t_quantile(model, alpha)
     return PredictionBand(
-        epochs=epochs, mean=mean, std=std, half_width=tq * std, alpha=alpha
+        epochs=B.epochs, mean=mean, std=std, half_width=tq * std, alpha=alpha
     )
 
 
 def predict(model: AlpsModel, epochs, alpha: float = DEFAULT_ALPHA) -> PredictionBand:
     """Mean prediction with 100(1-alpha)% pointwise t-confidence bands."""
-    return _band(model, _local_basis(model.knot_vector, epochs), alpha)
+    return _band(model, eval_basis(model.knot_vector, epochs), alpha)
 
 
 def predict_derivative(model: AlpsModel, epochs, alpha: float = DEFAULT_ALPHA) -> PredictionBand:
     """First derivative of the fitted curve with t-confidence bands."""
-    return _band(model, _local_basis(model.knot_vector, epochs, derivative=True), alpha)
+    return _band(model, eval_basis_derivative(model.knot_vector, epochs), alpha)
 
 
 def model_to_dict(model: AlpsModel) -> dict:
@@ -335,15 +332,26 @@ def _version_1_diagonals(doc: dict, p: int, c: int) -> tuple:
     return _lower_diagonals(factor, p)
 
 
+def _scalar(doc: dict, key: str, types: tuple, default=None):
+    """doc[key], or ``default`` where it is missing, whose type is exactly
+    one of ``types``: JSON true is no integer and "2" no number."""
+    value = doc.get(key, default)
+    if type(value) not in types:
+        raise ParseError(f"{key} must be {' or '.join(t.__name__ for t in types)}, got {value!r}")
+    return value
+
+
 def model_from_dict(doc: dict) -> AlpsModel:
-    """The model of a version-2 or a version-1 document."""
+    """The model of a version-2 or a version-1 document. Scalar fields must
+    have their JSON types: nothing is coerced, so a document that loads
+    saves back unchanged."""
     try:
         if doc.get("format") != MODEL_FORMAT:
             raise ParseError(f"not a {MODEL_FORMAT} document")
         version = doc.get("version")
         if type(version) is not int or version not in (1, 2):
             raise ParseError(f"unsupported document version {version!r}; known: 1, 2")
-        p, q, m = int(doc["p"]), int(doc["q"]), int(doc["m"])
+        p, q, m, n = (_scalar(doc, key, (int,)) for key in ("p", "q", "m", "n"))
         FitConfig(p=p, q=q)  # a degree or order no fit accepts gives broken bands
         kv = KnotVector(np.array(doc["knots"], dtype=float), p=p, m=m)
         theta = np.array(doc["theta"], dtype=float)
@@ -359,15 +367,19 @@ def model_from_dict(doc: dict) -> AlpsModel:
                                  f"lengths c = {c} down to c - p = {c - p}")
         if not np.all(diagonals[0] > 0):
             raise ParseError("the factor's diagonal is not positive")
-        lam, sigma2, df_res = float(doc["lambda"]), float(doc["sigma2"]), float(doc["df_res"])
+        lam, sigma2, df_res, gcv_cost = (
+            float(_scalar(doc, key, (float, int)))
+            for key in ("lambda", "sigma2", "df_res", "gcv_cost"))
         finite = all(np.all(np.isfinite(v))
                      for v in (lam, sigma2, df_res, theta, kv.knots, *diagonals))
         if not (finite and sigma2 >= 0 and df_res > 0 and kv.domain[0] < kv.domain[1]):
             raise ParseError(f"NaN or zero-width bands: {sigma2=}, {df_res=}, {kv.domain=}")
-        meta = FitMetadata(
-            gcv_cost=float(doc["gcv_cost"]), placement=doc["placement"],
-            n=int(doc["n"]), scan=(), ridged=bool(doc.get("ridged", False)),
-        )
+        if not math.isfinite(gcv_cost):
+            raise ParseError(f"gcv_cost must be finite, got {gcv_cost!r}")
+        ridged, placement = _scalar(doc, "ridged", (bool,), False), doc["placement"]
+        if placement not in PLACEMENTS:
+            raise ParseError(f"placement must be one of {PLACEMENTS}, got {placement!r}")
+        meta = FitMetadata(gcv_cost=gcv_cost, placement=placement, n=n, scan=(), ridged=ridged)
         return AlpsModel(
             knot_vector=kv, p=p, q=q, lambda_hat=lam, theta=theta,
             df_res=df_res, sigma2=sigma2,

@@ -24,10 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .basis import _local_basis
-# Not called here (flagging takes local values), but the benchmark's tracer
-# (perfbench/tracing.py) wraps the name in this module.
-from .basis import eval_basis  # noqa: F401
+from .basis import eval_basis
 from .errors import ConfigError, InsufficientDataAfterRejectionError, InsufficientDataError
 from .timeseries import TimeSeries
 
@@ -46,8 +43,7 @@ class OutlierReport:
 
 
 def _flag(model: core.AlpsModel, series: TimeSeries, threshold: float) -> np.ndarray:
-    _, first, values = _local_basis(model.knot_vector, series.times)
-    mean, quad = core._mean_and_quad(model, first, values)
+    mean, quad = core._mean_and_quad(model, eval_basis(model.knot_vector, series.times))
     resid = np.abs(series.values - mean)
     # Half-width of the 99% band for a new observation.
     sigma = math.sqrt(max(model.sigma2, 0.0))

@@ -234,18 +234,20 @@ def gcv_profile(Bu: np.ndarray, ys: np.ndarray, yy: float, q: int) -> GcvProfile
 
 
 def _distinct_rows(epochs, y: np.ndarray):
-    """(merge, ys): ``merge`` maps a design's rows at ``epochs`` to one row
-    per distinct epoch times the square root of its count, and ys holds
-    each epoch's sum of y over that root. Without epochs (a raw array's
-    rows count as distinct), or when no epoch repeats, merge returns the
-    design itself and ys is y."""
+    """(merge, ys): ``merge`` maps a design at ``epochs`` to its dense rows,
+    one per distinct epoch times the square root of its count, and ys holds
+    each epoch's sum of y over that root. A ``BasisMatrix``'s local rows
+    are merged first, so only those r dense rows are built. Without epochs
+    (a raw array's rows count as distinct), or when no epoch repeats, merge
+    returns the design's dense rows and ys is y."""
     if epochs is not None:
         _, first, inverse, counts = np.unique(
             epochs, return_index=True, return_inverse=True, return_counts=True)
         if first.size < y.size:
             root = np.sqrt(counts)
-            return (lambda Bv: Bv[first] * root[:, None]), np.bincount(inverse, weights=y) / root
-    return (lambda Bv: Bv), y
+            ys = np.bincount(inverse, weights=y) / root
+            return (lambda B: B.at(first).values * root[:, None]), ys
+    return _design, y
 
 
 # Most padded entries (width x rows x lambdas) scored at once: 128 kB per
@@ -348,8 +350,9 @@ def minimize_gcv_lambda(B, y, q: int, grid: LambdaGrid = LambdaGrid()):
     that is not definite.
 
     A ``BasisMatrix``'s rows are merged by epoch before diagonalizing (rows
-    at one epoch are equal); designs that share one epochs array share the
-    merge.
+    at one epoch are equal), from its local values, so that its dense rows
+    are built at the distinct epochs only; designs that share one epochs
+    array share the merge.
     """
     import scipy.linalg  # noqa: F401  (loaded before any BLAS scope opens)
 
@@ -360,15 +363,15 @@ def minimize_gcv_lambda(B, y, q: int, grid: LambdaGrid = LambdaGrid()):
         if design is None:
             profiles.append(GcvProfile(None))
             continue
-        Bv = _design(design)
         at = design.epochs if isinstance(design, BasisMatrix) else None
         if at is not epochs:
             epochs, (merge, ys) = at, _distinct_rows(at, y)
-        with blas_threads_for(Bv.shape[1]):
-            profiles.append(gcv_profile(merge(Bv), ys, yy, q))
+        Bu = merge(design)
+        with blas_threads_for(Bu.shape[1]):
+            profiles.append(gcv_profile(Bu, ys, yy, q))
         # Drop it before the next is drawn: with two large designs alive at
         # once, a strided n = 1500 fit peaked 50 MB higher.
-        del design, Bv
+        del design, Bu
     lam, cost = search_lambda(profiles, y.size, grid.points())
     if not one:
         return lam, cost

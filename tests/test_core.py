@@ -11,8 +11,8 @@ import scipy.linalg
 import scipy.stats
 from hypothesis import assume, example, given, settings, strategies as st
 
-from alps import _blas, core, solver
-from alps.basis import build_knot_vector, eval_basis, eval_basis_derivative
+from alps import _blas, core, fusion, outliers, solver
+from alps.basis import BasisMatrix, build_knot_vector, eval_basis, eval_basis_derivative
 from alps.errors import (
     AlpsError,
     ConfigError,
@@ -206,7 +206,7 @@ def test_enough_distinct_epochs_give_definite_pencils_and_df_res_in_range(case):
             kv = build_knot_vector(t, m, config.p, config.placement)
         except DegenerateKnotsError:
             continue
-        Bu = merge(eval_basis(kv, t).values)
+        Bu = merge(eval_basis(kv, t))
         assert gcv_profile(Bu, ys, float(y @ y), config.q).mu is not None
     model = core.fit(TimeSeries(t, y), config)
     assert 0 < model.df_res <= t.size
@@ -433,6 +433,32 @@ def test_bands_above_the_one_thread_limit(tmp_path):
             assert a.tobytes() == b.tobytes()
 
 
+def test_bands_and_flags_never_build_a_dense_basis(noisy_model, linear_model, monkeypatch):
+    # Bands and flags read each epoch's p + 1 local values only.
+    series, model = noisy_model
+    epochs = np.linspace(*model.domain, 97)
+    grid = np.linspace(*linear_model.domain, 13)
+
+    def outputs():
+        table = fusion.cross_series_table(model, model, epochs, monthly_rate=True)
+        return [x.tobytes() for x in (
+            *(getattr(fn(model, epochs), f) for fn in (core.predict, core.predict_derivative)
+              for f in ("mean", "std", "half_width")),
+            table.rate_a, table.rate_a_std, table.value_b,
+            core.predict(linear_model, grid).std,
+            outliers._flag(model, series, outliers.DEFAULT_THRESHOLD1))]
+
+    want = outputs()
+
+    def dense(B):
+        raise AssertionError("a dense basis was built")
+
+    monkeypatch.setattr(BasisMatrix, "values", property(dense))
+    with pytest.raises(AssertionError, match="dense"):
+        eval_basis(model.knot_vector, epochs).values
+    assert outputs() == want
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self, noisy_model, tmp_path):
         series, model = noisy_model
@@ -485,6 +511,15 @@ class TestSerialization:
         for case in cases:
             with pytest.raises(ParseError):
                 core.model_from_dict(dict(doc, factor_diagonals=case))
+        # Scalar fields of the wrong JSON type, which a lenient reader would
+        # coerce and save back changed.
+        fixture = json.loads((DATA / "model_v1.json").read_text())
+        for field, value in (("p", 4.9), ("m", 18.7), ("q", "2"), ("n", "24"), ("n", True),
+                             ("ridged", "no"), ("placement", 7), ("gcv_cost", "nan"),
+                             ("lambda", "0.5")):
+            bad.write_text(json.dumps(dict(fixture, **{field: value})))
+            with pytest.raises(ParseError, match=field):
+                core.load_model(bad)
 
     @pytest.mark.parametrize("version", [3, "2", None, 2.0, True, 0],
                              ids=["3", "str2", "missing", "float2", "true", "0"])

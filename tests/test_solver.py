@@ -72,7 +72,7 @@ def profile(B, y, q):
     minimize_gcv_lambda merges them."""
     y = np.asarray(y, dtype=float)
     merge, ys = solver._distinct_rows(getattr(B, "epochs", None), y)
-    return gcv_profile(merge(solver._design(B)), ys, float(y @ y), q)
+    return gcv_profile(merge(B), ys, float(y @ y), q)
 
 
 def error_variance(y, B, theta, df_res):
@@ -504,6 +504,17 @@ def _repeated(dates, repeats, lo=0.0, span=1.0, seed=0):
     ``repeats`` times."""
     rng = np.random.default_rng(seed)
     return np.repeat(np.sort(lo + span * rng.uniform(0.0, 1.0, dates)), repeats)
+
+
+@pytest.mark.parametrize("m, p", [(5, 2), (12, 3), (30, 4)])
+def test_merged_local_rows_are_byte_equal_to_gathered_dense_rows(m, p):
+    epochs = np.concatenate((_repeated(10, 3), _repeated(7, 1, lo=1.0, seed=1)))
+    B = eval_basis(build_knot_vector(epochs, m, p), epochs)
+    y = np.sin(6.0 * epochs)
+    _, first, counts = np.unique(epochs, return_index=True, return_counts=True)
+    assert B.at(first).values.tobytes() == B.values[first].tobytes()
+    merged = solver._distinct_rows(B.epochs, y)[0](B)
+    assert merged.tobytes() == (B.values[first] * np.sqrt(counts)[:, None]).tobytes()
 
 
 # (epochs, m, p, q, constant y or None for a noisy sine[, placement]): r
