@@ -1,6 +1,6 @@
 """Record which (m_hat, lambda_hat, gcv_cost) every fit selects on named
 inputs, with a sha256 of each fit's model document and one of its bands,
-and compare two such records.
+then its df_res and sigma2, and compare two such records.
 
     PYTHONPATH=src python scripts/selection_drift.py --out drift.json
     python scripts/selection_drift.py --compare parent.json change.json
@@ -36,7 +36,10 @@ changed documents with unchanged bands.
 ``--compare`` lists every input whose outcome changed between a model and
 an error (or between error types) before comparing the models, and every
 cell whose flags changed, then the changed documents and the changed bands
-apart. It exits 1 when any outcome, flag tuple, m_hat, model document or
+apart. Over the models whose m_hat did not move it prints the largest
+|dlog lambda| and the largest relative gap of gcv_cost, df_res and sigma2
+(records made before df_res and sigma2 were recorded compare without
+them). It exits 1 when any outcome, flag tuple, m_hat, model document or
 band differs, and 0 otherwise.
 """
 
@@ -65,7 +68,8 @@ def selected(model) -> list:
         bands.update(band.mean.tobytes())
         bands.update(band.std.tobytes())
     return [model.m_hat, model.lambda_hat, model.fit_metadata.gcv_cost,
-            hashlib.sha256(json.dumps(doc).encode()).hexdigest(), bands.hexdigest()]
+            hashlib.sha256(json.dumps(doc).encode()).hexdigest(), bands.hexdigest(),
+            model.df_res, model.sigma2]
 
 
 def benchmark_inputs(out: dict, seeds) -> None:
@@ -156,6 +160,17 @@ def _outcome(entry) -> str:
     return entry[0] if len(entry) == 1 else f"model m_hat={entry[0]}"
 
 
+def _largest(gaps) -> str:
+    """The largest of (gap, key) pairs, naming its key only when it is
+    above 0: every key ties at 0."""
+    gap, key = max(gaps, default=(0.0, None))
+    return f"{gap:.3g}" + (f" ({key})" if gap > 0 else "")
+
+
+def _relative(a: float, b: float) -> float:
+    return abs(b - a) / max(abs(a), 1e-300)
+
+
 def compare(a: dict, b: dict) -> bool:
     """Print the differences between two records; whether any outcome,
     flag tuple, m_hat, model document or band differs."""
@@ -178,16 +193,17 @@ def compare(a: dict, b: dict) -> bool:
     doc_diff = [k for k in docs if a[k][3] != b[k][3]]
     bands = [k for k in keys if len(a[k]) > 4 and len(b[k]) > 4]
     band_diff = [k for k in bands if a[k][4] != b[k][4]]
-    dlog = max(((abs(math.log(b[k][1] / a[k][1])), k) for k in finite), default=(0.0, None))
-    dcost = max(((abs(b[k][2] - a[k][2]) / max(abs(a[k][2]), 1e-300), k) for k in finite),
-                default=(0.0, None))
+    fits = [k for k in same if len(a[k]) > 6 and len(b[k]) > 6]
     print(f"models compared: {len(keys)} (only in one record: "
           f"{len(a.keys() ^ b.keys())})")
     print(f"m_hat mismatches: {len(m_diff)}" + "".join(
         f"\n  {k}: {a[k][0]} -> {b[k][0]}" for k in m_diff))
     print(f"lambda_hat and gcv_cost bit-identical: {bits}/{len(same)}")
-    print(f"largest |dlog lambda|: {dlog[0]:.3g} ({dlog[1]})")
-    print(f"largest relative gcv_cost gap: {dcost[0]:.3g} ({dcost[1]})")
+    print(f"largest |dlog lambda|: "
+          f"{_largest((abs(math.log(b[k][1] / a[k][1])), k) for k in finite)}")
+    for i, name, over in ((2, "gcv_cost", finite), (5, "df_res", fits), (6, "sigma2", fits)):
+        print(f"largest relative {name} gap over {len(over)} models: "
+              f"{_largest((_relative(a[k][i], b[k][i]), k) for k in over)}")
     print(f"model documents differing: {len(doc_diff)}/{len(docs)}"
           + "".join(f"\n  {k}" for k in doc_diff))
     print(f"bands differing: {len(band_diff)}/{len(bands)}"

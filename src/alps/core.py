@@ -220,14 +220,8 @@ def fit(data: TimeSeries, config: FitConfig = FitConfig()) -> AlpsModel:
     return AlpsModel(
         knot_vector=kv, p=p, q=q, lambda_hat=lambda_hat, theta=result.theta,
         df_res=result.df_res, sigma2=result.sigma2,
-        factor_diagonals=_lower_diagonals(result.normal_factorization[0], p), fit_metadata=meta,
+        factor_diagonals=result.factor_diagonals, fit_metadata=meta,
     )
-
-
-def _lower_diagonals(factor: np.ndarray, p: int) -> tuple:
-    """Diagonals 0..p below the main one of a factor with L in its lower
-    triangle, as ``fit_penalized`` leaves it; the main diagonal first."""
-    return tuple(np.diagonal(factor, -k).copy() for k in range(p + 1))
 
 
 def _select(rows):
@@ -323,13 +317,13 @@ def _version_1_diagonals(doc: dict, p: int, c: int) -> tuple:
     routine's whole c x c output with L in its lower triangle."""
     if doc.get("factor_lower") is not True:
         raise ParseError(f"version 1 needs factor_lower true, got {doc.get('factor_lower')!r}")
-    factor = np.array(doc["normal_factor"], dtype=float)
+    factor = np.array([_numbers(row, "normal_factor") for row in doc["normal_factor"]])
     if factor.shape != (c, c):
         raise ParseError("factor dimensions inconsistent with m + p")
     # Every fit leaves L exactly zero beyond p places below its diagonal.
     if np.any(np.tril(factor, -p - 1) != 0):
         raise ParseError(f"normal_factor is not a Cholesky factor with bandwidth p = {p}")
-    return _lower_diagonals(factor, p)
+    return tuple(np.diagonal(factor, -k).copy() for k in range(p + 1))
 
 
 def _scalar(doc: dict, key: str, types: tuple, default=None):
@@ -341,10 +335,21 @@ def _scalar(doc: dict, key: str, types: tuple, default=None):
     return value
 
 
+def _numbers(value, key: str) -> np.ndarray:
+    """``value`` as a float array where it is a list of JSON numbers, each
+    an int or a float, not a bool: "0.5" and true are no coefficients."""
+    if type(value) is not list:
+        raise ParseError(f"{key} must be a list of numbers, got {type(value).__name__}")
+    for entry in value:
+        if type(entry) not in (int, float):
+            raise ParseError(f"{key} must hold numbers only, got {entry!r}")
+    return np.array(value, dtype=float)
+
+
 def model_from_dict(doc: dict) -> AlpsModel:
-    """The model of a version-2 or a version-1 document. Scalar fields must
-    have their JSON types: nothing is coerced, so a document that loads
-    saves back unchanged."""
+    """The model of a version-2 or a version-1 document. Scalar fields and
+    the entries of array fields must have their JSON types: nothing is
+    coerced, so a document that loads saves back unchanged."""
     try:
         if doc.get("format") != MODEL_FORMAT:
             raise ParseError(f"not a {MODEL_FORMAT} document")
@@ -353,15 +358,15 @@ def model_from_dict(doc: dict) -> AlpsModel:
             raise ParseError(f"unsupported document version {version!r}; known: 1, 2")
         p, q, m, n = (_scalar(doc, key, (int,)) for key in ("p", "q", "m", "n"))
         FitConfig(p=p, q=q)  # a degree or order no fit accepts gives broken bands
-        kv = KnotVector(np.array(doc["knots"], dtype=float), p=p, m=m)
-        theta = np.array(doc["theta"], dtype=float)
+        kv = KnotVector(_numbers(doc["knots"], "knots"), p=p, m=m)
+        theta = _numbers(doc["theta"], "theta")
         c = m + p
         if theta.shape != (c,):
             raise ParseError("coefficient dimensions inconsistent with m + p")
         if version == 1:
             diagonals = _version_1_diagonals(doc, p, c)
         else:
-            diagonals = tuple(np.array(d, dtype=float) for d in doc["factor_diagonals"])
+            diagonals = tuple(_numbers(d, "factor_diagonals") for d in doc["factor_diagonals"])
             if [d.shape for d in diagonals] != [(c - k,) for k in range(p + 1)]:
                 raise ParseError(f"factor_diagonals must be p + 1 = {p + 1} lists of "
                                  f"lengths c = {c} down to c - p = {c - p}")

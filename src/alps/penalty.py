@@ -21,37 +21,22 @@ def difference_matrix(q: int, c: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _gram_diagonals(q: int, c: int):
-    """Flat indices into a c x c array of D_q'D_q's 2q + 1 nonzero
-    diagonals, and their values (read-only; O(qc) each, for the
-    (c-q) x c ``difference_matrix`` D_q).
+def difference_band(q: int, c: int) -> np.ndarray:
+    """D_q'D_q's q + 1 lower diagonals in LAPACK lower band storage, for
+    the (c-q) x c ``difference_matrix`` D_q: row k holds diagonal k,
+    ``band[k, j] = (D'D)[j + k, j]``, zero past its c - k entries
+    (read-only).
 
     Row r of D_q holds the stencil s (s_k = (-1)^(q-k) binom(q, k)) in
-    columns r..r+q, so the diagonal at offset o sums s_k s_{k+o} over the
-    rows covering both columns: the stencil products convolved with the
-    c - q rows' indicator. The entries are small integers, so these are
-    exactly the entries of ``D.T @ D``."""
+    columns r..r+q, so diagonal k sums s_i s_{i+k} over the rows covering
+    both columns: the stencil products convolved with the c - q rows'
+    indicator. The entries are small integers, so these are exactly the
+    entries of ``D.T @ D``."""
     if not 1 <= q < c:
         raise InvalidInputError(f"difference order must satisfy 1 <= q < c, got q={q}, c={c}")
     stencil = difference_matrix(q, q + 1)[0]
-    rows = np.ones(c - q)
-    index, values = [], []
-    for o in range(q + 1):
-        diagonal = np.convolve(rows, stencil[: q + 1 - o] * stencil[o:])
-        i = np.arange(c - o) * (c + 1)
-        index += [i + o, i + o * c] if o else [i]
-        values += [diagonal, diagonal] if o else [diagonal]
-    index, values = np.concatenate(index), np.concatenate(values)
-    index.flags.writeable = values.flags.writeable = False
-    return index, values
-
-
-def add_difference_gram(G: np.ndarray, q: int, lam: float = 1.0) -> np.ndarray:
-    """G + lam * D_q'D_q for a c x c array G, in a new array: G's copy
-    with lam times the penalty's 2q + 1 diagonals added, the same bytes as
-    ``G + lam * (D.T @ D)`` for the (c-q) x c ``difference_matrix`` D."""
-    out = np.array(G, dtype=float, order="C")
-    index, values = _gram_diagonals(q, out.shape[0])
-    out.reshape(-1)[index] += lam * values
-    return out
-
+    band = np.zeros((q + 1, c))
+    for k in range(q + 1):
+        band[k, : c - k] = np.convolve(np.ones(c - q), stencil[: q + 1 - k] * stencil[k:])
+    band.flags.writeable = False
+    return band

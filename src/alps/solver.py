@@ -1,13 +1,15 @@
 """Penalized least squares, GCV scoring, and the smoothing-parameter
 search.
 
-The normal matrix ``A = B'B + lam D'D`` is always handled through a symmetric
-positive-definite factorization, never an explicit inverse. The lambda
-search runs in two phases. First each design is diagonalized once in data
-space (``gcv_profile``): rows at one epoch are merged, so a design of r
-distinct epochs and c columns costs one Cholesky factor and one standard
-``eigh`` of size min(r, c), after which a GCV cost is O(min(r, c))
-arithmetic on the eigenvalues. Then ``search_lambda`` scores a whole stack
+A design is a ``BasisMatrix`` of degree p, so the normal matrix
+``A = B'B + lam D'D`` has bandwidth p. It is only ever held as its p + 1
+lower diagonals (``_normal_band``) and factored by the banded Cholesky
+``dpbtrf``; there is no explicit inverse. The lambda search runs in two
+phases. First each design is diagonalized once in data space
+(``gcv_profile``): rows at one epoch are merged, so a design of r distinct
+epochs and c columns costs one banded factor and one standard ``eigh`` of
+size min(r, c), after which a GCV cost is O(min(r, c)) arithmetic on the
+eigenvalues. Then ``search_lambda`` scores a whole stack
 of profiles in lock-step as arrays: every grid point of every row, then the
 golden-section steps of all rows together. ``minimize_gcv_lambda`` runs
 both phases for one design or for a sequence of them.
@@ -29,7 +31,7 @@ from .errors import (
     NoValidLambdaError,
     RankDeficiencyError,
 )
-from .penalty import add_difference_gram
+from .penalty import difference_band
 
 # GCV denominator (1 - tr(H)/n) below this scores +inf: the configuration is
 # effectively interpolating and carries no generalization information.
@@ -60,40 +62,49 @@ class LambdaGrid:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Penalized least-squares solution with its cached factorization."""
+    """Penalized least-squares solution and the p + 1 diagonals of L, the
+    Cholesky factor of A = LL' (or of A plus ``_factorize``'s ridge), the
+    main one first: diagonal k holds the c - k entries L[k + i, i]."""
 
     theta: np.ndarray
-    normal_factorization: tuple
+    factor_diagonals: tuple
     df_res: float
     sigma2: float
     ridged: bool = False
 
 
-def _design(B) -> np.ndarray:
-    values = B.values if isinstance(B, BasisMatrix) else np.asarray(B, dtype=float)
-    if values.ndim != 2:
-        raise InvalidInputError("design matrix must be 2-d")
-    return values
+def _degree(B) -> int:
+    """The degree p of design ``B``, which must be a ``BasisMatrix``."""
+    if not isinstance(B, BasisMatrix):
+        raise InvalidInputError(f"a design must be a BasisMatrix, got {type(B).__name__}")
+    return B.local.shape[0] - 1
 
 
-def _factorize(A: np.ndarray):
-    """Cholesky with a single relative-ridge retry; reports whether the
-    ridge was needed."""
+def _normal_band(G: np.ndarray, p: int, q: int, lam: float) -> np.ndarray:
+    """A = G + lam D_q'D_q in LAPACK lower band storage (row k holds
+    A[j + k, j] at column j), from the p + 1 diagonals of G = B'B for a
+    basis of degree p."""
+    c = G.shape[0]
+    band = np.zeros((max(p, q) + 1, c))
+    for k in range(p + 1):
+        band[k, : c - k] = np.diagonal(G, -k)
+    band[: q + 1] += lam * difference_band(q, c)
+    return band
+
+
+def _factorize(band: np.ndarray):
+    """L's band from A's (``dpbtrf``), retried once with 1e-12 of A's
+    trace added to A's diagonal; and whether that ridge was needed."""
     import scipy.linalg
 
-    try:
-        return scipy.linalg.cho_factor(A, lower=True), False
-    except scipy.linalg.LinAlgError:
-        pass
-    ridge = 1e-12 * float(np.trace(A))
-    if not np.isfinite(ridge) or ridge <= 0:
-        raise RankDeficiencyError("normal matrix is singular and has no usable scale")
-    try:
-        return scipy.linalg.cho_factor(A + ridge * np.eye(A.shape[0]), lower=True), True
-    except scipy.linalg.LinAlgError:
-        raise RankDeficiencyError(
-            "normal matrix not positive definite even after ridge repair"
-        ) from None
+    L, info = scipy.linalg.lapack.dpbtrf(band, lower=1)
+    if not info:
+        return L, False
+    band[0] += 1e-12 * float(np.sum(band[0]))
+    L, info = scipy.linalg.lapack.dpbtrf(band, lower=1)
+    if info:
+        raise RankDeficiencyError("normal matrix not positive definite even after ridge repair")
+    return L, True
 
 
 def _check_support(Bv: np.ndarray) -> None:
@@ -108,14 +119,15 @@ def _check_support(Bv: np.ndarray) -> None:
 
 
 def fit_penalized(B, y, q: int, lam: float) -> FitResult:
-    """Minimize ||y - B theta||^2 + lam ||D_q theta||^2.
+    """Minimize ||y - B theta||^2 + lam ||D_q theta||^2 for a ``BasisMatrix``
+    B, whose local values give its degree p.
 
     Also evaluates the residual degrees of freedom and the unbiased error
     variance on the c x c scale (no n x n smoother matrix is formed).
     """
     import scipy.linalg
 
-    Bv = _design(B)
+    p, Bv = _degree(B), B.values
     y = np.asarray(y, dtype=float)
     n, c = Bv.shape
     if y.shape != (n,):
@@ -127,18 +139,19 @@ def fit_penalized(B, y, q: int, lam: float) -> FitResult:
         _check_support(Bv)
     with blas_threads_for(c):
         G = Bv.T @ Bv
-        cho, ridged = _factorize(add_difference_gram(G, q, lam))
-        theta = scipy.linalg.cho_solve(cho, Bv.T @ y)
+        L, ridged = _factorize(_normal_band(G, p, q, lam))
+        solve = functools.partial(scipy.linalg.lapack.dpbtrs, L, lower=1)
+        theta = solve(Bv.T @ y)[0]
         resid = y - Bv @ theta
         rss = float(resid @ resid)
-        M = scipy.linalg.cho_solve(cho, G)  # A^{-1} B'B: its trace is tr(H)
+        M = solve(G)[0]  # A^{-1} B'B: its trace is tr(H)
         tr_h = float(np.trace(M))
         tr_hh = float(np.sum(M * M.T))
     df_res = n - 2.0 * tr_h + tr_hh
     sigma2 = rss / df_res if df_res > 0 else float("nan")
     return FitResult(
         theta=theta,
-        normal_factorization=cho,
+        factor_diagonals=tuple(d[: c - k] for k, d in enumerate(L)),
         df_res=df_res,
         sigma2=sigma2,
         ridged=ridged,
@@ -204,19 +217,19 @@ _NULL_G = 1e-12
 _RSS_ROUNDING = 1e-13
 
 
-def gcv_profile(Bu: np.ndarray, ys: np.ndarray, yy: float, q: int) -> GcvProfile:
-    """Diagonalize one design from its distinct-epoch rows ``Bu``, the
-    matching ``ys`` and y'y (in the caller's BLAS scope)."""
+def gcv_profile(Bu: np.ndarray, ys: np.ndarray, yy: float, p: int, q: int) -> GcvProfile:
+    """Diagonalize one design of degree p from its distinct-epoch rows
+    ``Bu``, the matching ``ys`` and y'y (in the caller's BLAS scope)."""
     import scipy.linalg
 
     r, c = Bu.shape
     G = Bu.T @ Bu
     # LAPACK directly: at these sizes the checked wrappers cost as much as
     # the factorization. info > 0 is a factor that is not definite.
-    L, info = scipy.linalg.lapack.dpotrf(add_difference_gram(G, q), lower=1, clean=0)
+    L, info = scipy.linalg.lapack.dpbtrf(_normal_band(G, p, q, 1.0), lower=1)
     if info:
         return GcvProfile(None)
-    solve = functools.partial(scipy.linalg.lapack.dtrtrs, L, lower=1)
+    solve = functools.partial(scipy.linalg.lapack.dtbtrs, L, uplo="L")
     try:
         if r <= c:
             X = solve(Bu.T)[0]
@@ -234,20 +247,17 @@ def gcv_profile(Bu: np.ndarray, ys: np.ndarray, yy: float, q: int) -> GcvProfile
 
 
 def _distinct_rows(epochs, y: np.ndarray):
-    """(merge, ys): ``merge`` maps a design at ``epochs`` to its dense rows,
-    one per distinct epoch times the square root of its count, and ys holds
-    each epoch's sum of y over that root. A ``BasisMatrix``'s local rows
-    are merged first, so only those r dense rows are built. Without epochs
-    (a raw array's rows count as distinct), or when no epoch repeats, merge
-    returns the design's dense rows and ys is y."""
-    if epochs is not None:
-        _, first, inverse, counts = np.unique(
-            epochs, return_index=True, return_inverse=True, return_counts=True)
-        if first.size < y.size:
-            root = np.sqrt(counts)
-            ys = np.bincount(inverse, weights=y) / root
-            return (lambda B: B.at(first).values * root[:, None]), ys
-    return _design, y
+    """(merge, ys): ``merge`` maps a ``BasisMatrix`` at ``epochs`` to its
+    dense rows, one per distinct epoch times the square root of its count,
+    and ys holds each epoch's sum of y over that root. The local rows are
+    merged first, so only those r dense rows are built. When no epoch
+    repeats, merge returns the design's dense rows and ys is y."""
+    _, first, inverse, counts = np.unique(
+        epochs, return_index=True, return_inverse=True, return_counts=True)
+    if first.size == y.size:
+        return (lambda B: B.values), y
+    root = np.sqrt(counts)
+    return (lambda B: B.at(first).values * root[:, None]), np.bincount(inverse, weights=y) / root
 
 
 # Most padded entries (width x rows x lambdas) scored at once: 128 kB per
@@ -337,9 +347,10 @@ def _golden_section(costs, lo: np.ndarray, hi: np.ndarray):
 
 
 def minimize_gcv_lambda(B, y, q: int, grid: LambdaGrid = LambdaGrid()):
-    """The GCV-minimizing lambda of design ``B``: (lambda_hat, cost),
-    deterministic for fixed inputs. Raises NoValidLambdaError when every
-    candidate is degenerate.
+    """The GCV-minimizing lambda of the ``BasisMatrix`` ``B``:
+    (lambda_hat, cost), deterministic for fixed inputs. Raises
+    NoValidLambdaError when every candidate is degenerate, and
+    InvalidInputError for a design of any other type.
 
     ``B`` may instead be an iterable of designs. Each is diagonalized in its
     own BLAS scope and dropped before the next is drawn, then
@@ -349,26 +360,26 @@ def minimize_gcv_lambda(B, y, q: int, grid: LambdaGrid = LambdaGrid()):
     None design (``basis.scan_bases``' degenerate knots) scores as a pencil
     that is not definite.
 
-    A ``BasisMatrix``'s rows are merged by epoch before diagonalizing (rows
-    at one epoch are equal), from its local values, so that its dense rows
-    are built at the distinct epochs only; designs that share one epochs
-    array share the merge.
+    A design's rows are merged by epoch before diagonalizing (rows at one
+    epoch are equal), from its local values, so that its dense rows are
+    built at the distinct epochs only; designs that share one epochs array
+    share the merge.
     """
     import scipy.linalg  # noqa: F401  (loaded before any BLAS scope opens)
 
     y = np.asarray(y, dtype=float)
-    yy, one = float(y @ y), isinstance(B, (BasisMatrix, np.ndarray))
-    profiles, epochs, (merge, ys) = [], None, _distinct_rows(None, y)
+    yy, one = float(y @ y), isinstance(B, BasisMatrix)
+    profiles, epochs = [], None
     for design in [B] if one else B:
         if design is None:
             profiles.append(GcvProfile(None))
             continue
-        at = design.epochs if isinstance(design, BasisMatrix) else None
-        if at is not epochs:
-            epochs, (merge, ys) = at, _distinct_rows(at, y)
+        p = _degree(design)
+        if design.epochs is not epochs:
+            epochs, (merge, ys) = design.epochs, _distinct_rows(design.epochs, y)
         Bu = merge(design)
         with blas_threads_for(Bu.shape[1]):
-            profiles.append(gcv_profile(Bu, ys, yy, q))
+            profiles.append(gcv_profile(Bu, ys, yy, p, q))
         # Drop it before the next is drawn: with two large designs alive at
         # once, a strided n = 1500 fit peaked 50 MB higher.
         del design, Bu

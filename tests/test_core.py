@@ -22,6 +22,7 @@ from alps.errors import (
     OutOfDomainError,
     ParseError,
 )
+from alps.penalty import difference_matrix
 from alps.solver import LambdaGrid, fit_penalized, gcv_profile, minimize_gcv_lambda
 from alps.synth import gramacy_lee, gramacy_lee_series
 from alps.timeseries import TimeSeries
@@ -174,6 +175,29 @@ class TestFit:
         b = core.fit(linear_series, core.FitConfig(m_scan="strided"))
         assert a.m_hat == b.m_hat and a.lambda_hat == b.lambda_hat
 
+    def test_a_ridged_refit_is_recorded_in_the_model_and_its_document(
+            self, linear_series, linear_model, monkeypatch):
+        # The refit's first banded factor reports a matrix that is not
+        # positive definite; the scan before it factors as usual.
+        refit, dpbtrf = core.fit_penalized, scipy.linalg.lapack.dpbtrf
+        calls = []
+
+        def failing_once(ab, *args, **kwargs):
+            calls.append(ab.shape)
+            return (ab, 1) if len(calls) == 1 else dpbtrf(ab, *args, **kwargs)
+
+        def ridged_refit(*args):
+            monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", failing_once)
+            return refit(*args)
+
+        monkeypatch.setattr(core, "fit_penalized", ridged_refit)
+        model = core.fit(linear_series)
+        assert len(calls) == 2 and not linear_model.fit_metadata.ridged
+        assert (model.m_hat, model.lambda_hat) == (linear_model.m_hat, linear_model.lambda_hat)
+        assert model.fit_metadata.ridged
+        doc = core.model_to_dict(model)
+        assert doc["ridged"] is True and core.model_from_dict(doc).fit_metadata.ridged
+
 
 @st.composite
 def clustered_fits(draw):
@@ -207,7 +231,7 @@ def test_enough_distinct_epochs_give_definite_pencils_and_df_res_in_range(case):
         except DegenerateKnotsError:
             continue
         Bu = merge(eval_basis(kv, t))
-        assert gcv_profile(Bu, ys, float(y @ y), config.q).mu is not None
+        assert gcv_profile(Bu, ys, float(y @ y), config.p, config.q).mu is not None
     model = core.fit(TimeSeries(t, y), config)
     assert 0 < model.df_res <= t.size
 
@@ -332,10 +356,9 @@ def _model_at(times, y, m, p, q, lam, placement="equidistant"):
     kv = build_knot_vector(times, m, p, placement)
     result = fit_penalized(eval_basis(kv, times), y, q, lam)
     meta = core.FitMetadata(gcv_cost=0.0, placement=placement, n=len(times))
-    diagonals = core._lower_diagonals(result.normal_factorization[0], p)
     return core.AlpsModel(
         knot_vector=kv, p=p, q=q, lambda_hat=lam, theta=result.theta, df_res=result.df_res,
-        sigma2=result.sigma2, factor_diagonals=diagonals, fit_metadata=meta)
+        sigma2=result.sigma2, factor_diagonals=result.factor_diagonals, fit_metadata=meta)
 
 
 def _dense_lower(model):
@@ -355,21 +378,30 @@ def _version_1(model):
     return doc
 
 
-def _band_cases():
+def _band_inputs():
+    """``_model_at``'s arguments for each band case at a fixed (m, lambda)."""
     rng = np.random.default_rng(11)
     # Ten sections without data: at lambda = 1e-12 cond(A) is about 3e13,
     # and a std from an explicit band of A^{-1} is off by 6e-8.
     gap = np.sort(np.concatenate((rng.uniform(0.0, 0.4, 40), rng.uniform(0.6, 1.0, 40))))
     y_gap = np.sin(6.0 * gap) + rng.normal(0.0, 0.05, gap.size)
     for lam in (1e-4, 1e-8, 1e-12):
-        yield f"gap-lam{lam:g}", _model_at(gap, y_gap, 48, 4, 2, lam)
+        yield f"gap-lam{lam:g}", (gap, y_gap, 48, 4, 2, lam)
     offset = 1e6 + np.sort(rng.uniform(0.0, 1e-3, 40))
-    yield "offset", _model_at(offset, np.cos(4e3 * (offset - 1e6)), 12, 3, 2, 1e-2, "quantile")
+    yield "offset", (offset, np.cos(4e3 * (offset - 1e6)), 12, 3, 2, 1e-2, "quantile")
     t = np.sort(rng.uniform(2000.0, 2010.0, 50))
     y = np.sin(t) + rng.normal(0.0, 0.1, t.size)
     for p in (2, 3, 4):
         for q in range(1, p):
-            yield f"p{p}q{q}", _model_at(t, y, 15, p, q, 0.3, "quantile")
+            yield f"p{p}q{q}", (t, y, 15, p, q, 0.3, "quantile")
+
+
+_BAND_INPUTS = dict(_band_inputs())
+
+
+def _band_cases():
+    for name, args in _BAND_INPUTS.items():
+        yield name, _model_at(*args)
     series, _ = gramacy_lee_series(n=60, noise_sd=0.1, seed=3)
     yield "fit", core.fit(series)
 
@@ -382,6 +414,22 @@ def _dense_band(model, epochs, evaluate):
 
 
 _BAND_CASES = dict(_band_cases())
+
+
+@pytest.mark.parametrize("name", _BAND_INPUTS)
+def test_factor_diagonals_match_a_dense_cholesky(name):
+    # The refit's banded factor against SciPy's dense one, to 1e-12 of each
+    # diagonal's largest entry: where cond(A) is large, entries that cancel
+    # to near zero differ by more than 1e-12 of themselves.
+    times, y, m, p, q, lam, *placement = _BAND_INPUTS[name]
+    B = eval_basis(build_knot_vector(times, m, p, *(placement or ["equidistant"])), times)
+    D = difference_matrix(q, B.n_bases)
+    L = scipy.linalg.cho_factor(B.values.T @ B.values + lam * (D.T @ D), lower=True)[0]
+    result = fit_penalized(B, y, q, lam)
+    assert not result.ridged and len(result.factor_diagonals) == p + 1
+    for k, diagonal in enumerate(result.factor_diagonals):
+        want = np.diagonal(L, -k)
+        np.testing.assert_allclose(diagonal, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("name", _BAND_CASES)
@@ -520,6 +568,18 @@ class TestSerialization:
             bad.write_text(json.dumps(dict(fixture, **{field: value})))
             with pytest.raises(ParseError, match=field):
                 core.load_model(bad)
+        # Array entries of the wrong JSON type, in version 1's fixture and
+        # in a version-2 document's diagonals.
+        documents = [(fixture, "knots", None), (fixture, "theta", None),
+                     (fixture, "normal_factor", 2), (doc, "factor_diagonals", 1)]
+        for document, field, row in documents:
+            for value in ("0.5", True, None, [0.5]):
+                changed = json.loads(json.dumps(document))
+                entries = changed[field] if row is None else changed[field][row]
+                entries[1] = value
+                bad.write_text(json.dumps(changed))
+                with pytest.raises(ParseError, match=field):
+                    core.load_model(bad)
 
     @pytest.mark.parametrize("version", [3, "2", None, 2.0, True, 0],
                              ids=["3", "str2", "missing", "float2", "true", "0"])

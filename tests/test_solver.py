@@ -39,10 +39,10 @@ def normal_equations_oracle(Bv, y, q, lam):
 
 def smoother_matrix(B, q, lam):
     """n x n matrix H mapping observations to fitted values."""
-    Bv = solver._design(B)
+    Bv = B.values
     if lam == 0:
         solver._check_support(Bv)
-    cho, _ = solver._factorize(Bv.T @ Bv + penalty(q, Bv.shape[1], lam))
+    cho = scipy.linalg.cho_factor(Bv.T @ Bv + penalty(q, Bv.shape[1], lam), lower=True)
     return Bv @ scipy.linalg.cho_solve(cho, Bv.T)
 
 
@@ -50,9 +50,9 @@ def gcv_score(B, y, q, lam):
     """GCV at one lambda by a direct Cholesky solve: the residual sum of
     squares over (1 - tr(H)/n)^2, +inf when that denominator falls below
     the degeneracy floor. The reference for the profile scorer."""
-    Bv, y = solver._design(B), np.asarray(y, dtype=float)
+    Bv, y = B.values, np.asarray(y, dtype=float)
     G = Bv.T @ Bv
-    cho, _ = solver._factorize(G + penalty(q, Bv.shape[1], lam))
+    cho = scipy.linalg.cho_factor(G + penalty(q, Bv.shape[1], lam), lower=True)
     resid = y - Bv @ scipy.linalg.cho_solve(cho, Bv.T @ y)
     tr_h = np.trace(scipy.linalg.cho_solve(cho, G))
     return float(solver._gcv_cost(resid @ resid, tr_h, y.size))
@@ -71,15 +71,15 @@ def profile(B, y, q):
     """gcv_profile of a design, its rows merged by epoch as
     minimize_gcv_lambda merges them."""
     y = np.asarray(y, dtype=float)
-    merge, ys = solver._distinct_rows(getattr(B, "epochs", None), y)
-    return gcv_profile(merge(B), ys, float(y @ y), q)
+    merge, ys = solver._distinct_rows(B.epochs, y)
+    return gcv_profile(merge(B), ys, float(y @ y), B.local.shape[0] - 1, q)
 
 
 def error_variance(y, B, theta, df_res):
     """Unbiased residual variance ||y - B theta||^2 / df_res."""
     if df_res <= 0:
         raise ValueError(f"df_res must be positive, got {df_res}")
-    Bv = solver._design(B)
+    Bv = np.asarray(getattr(B, "values", B), dtype=float)
     resid = np.asarray(y, dtype=float) - Bv @ np.asarray(theta, dtype=float)
     return float(resid @ resid) / df_res
 
@@ -138,6 +138,41 @@ class TestFitPenalized:
         times, kv, B = uniform_design()
         with pytest.raises(InvalidInputError, match="smoothing parameter"):
             fit_penalized(B, np.zeros(len(times)), 2, lam)
+
+    def test_a_failed_factor_is_retried_once_with_a_ridge(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        times, kv, B = uniform_design()
+        y = rng.normal(size=len(times))
+        plain = fit_penalized(B, y, 2, 0.1)
+        dpbtrf, calls = scipy.linalg.lapack.dpbtrf, []
+
+        def failing(times):
+            # The first ``times`` calls report a matrix that is not definite.
+            def factor(ab, *args, **kwargs):
+                calls.append(ab.shape)
+                return (ab, 1) if len(calls) <= times else dpbtrf(ab, *args, **kwargs)
+            return factor
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", failing(1))
+        ridged = fit_penalized(B, y, 2, 0.1)
+        assert len(calls) == 2 and ridged.ridged and not plain.ridged
+        np.testing.assert_allclose(ridged.theta, plain.theta, rtol=1e-8)
+        calls.clear()
+        monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", failing(2))
+        with pytest.raises(RankDeficiencyError, match="ridge"):
+            fit_penalized(B, y, 2, 0.1)
+        assert len(calls) == 2
+
+    def test_a_design_must_be_a_basis_matrix(self):
+        times, kv, B = uniform_design()
+        y = np.sin(times)
+        for design in (B.values, B.values.tolist()):
+            with pytest.raises(InvalidInputError, match="BasisMatrix"):
+                fit_penalized(design, y, 2, 0.1)
+            with pytest.raises(InvalidInputError, match="BasisMatrix"):
+                minimize_gcv_lambda(design, y, 2)
+            with pytest.raises(InvalidInputError, match="BasisMatrix"):
+                minimize_gcv_lambda([B, design], y, 2)
 
 
 class TestSmootherMatrix:
