@@ -18,7 +18,6 @@ import numpy as np
 
 from alps import core
 from alps.basis import build_knot_vector, eval_basis
-from alps.errors import AlpsError
 from alps.solver import COST_TIE_RTOL, LambdaGrid, fit_penalized, minimize_gcv_lambda
 from alps.synth import gramacy_lee, gramacy_lee_series
 
@@ -49,7 +48,7 @@ def judged(rule, series, m, lam):
 
 def gcv_lambda(series, m):
     kv = build_knot_vector(series.times, m, P)
-    return minimize_gcv_lambda(eval_basis(kv, series.times), series.values, Q)[0]
+    return minimize_gcv_lambda([eval_basis(kv, series.times)], series.values, Q)[0][0]
 
 
 def sequential(series):
@@ -68,12 +67,9 @@ def scaled_grid(series):
     for m in range(1, len(series)):
         kv = build_knot_vector(series.times, m, P)
         s = len(series) / kv.n_bases
-        try:
-            lam, cost = minimize_gcv_lambda(eval_basis(kv, series.times), series.values, Q,
-                                            LambdaGrid(GRID.lo * s, GRID.hi * s))
-        except AlpsError:
-            continue
-        if best is None or cost < best[2]:
+        (lam,), (cost,) = minimize_gcv_lambda([eval_basis(kv, series.times)], series.values, Q,
+                                              LambdaGrid(GRID.lo * s, GRID.hi * s))
+        if np.isfinite(cost) and (best is None or cost < best[2]):
             best = (m, lam, cost)
     return best[:2]
 

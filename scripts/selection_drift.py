@@ -105,8 +105,8 @@ def criterion_inputs(out: dict, seeds) -> None:
         model = core.fit(series)
         out[f"criterion/{seed}"] = selected(model)
         kv = build_knot_vector(series.times, len(series) - 1, 4)
-        lam, cost = minimize_gcv_lambda(eval_basis(kv, series.times), series.values, 2)
-        out[f"criterion/{seed}/m=n-1"] = [kv.m, lam, cost]
+        lam, cost = minimize_gcv_lambda([eval_basis(kv, series.times)], series.values, 2)
+        out[f"criterion/{seed}/m=n-1"] = [kv.m, float(lam[0]), float(cost[0])]
 
 
 def degenerate_inputs(out: dict, seeds) -> None:

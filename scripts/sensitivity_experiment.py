@@ -47,8 +47,7 @@ def main():
     Bg = eval_basis(kv, grid)
     delta = np.abs(Bg.values @ (pert.theta - base.theta))
 
-    k_star = kv.span_index(t_star)
-    spans = np.array([kv.span_index(t) for t in grid])
+    k_star, spans = int(B.first[idx]), Bg.first
     near = np.abs(spans - k_star) <= p
     far = np.abs(spans - k_star) >= p + 1
 

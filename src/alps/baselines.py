@@ -3,6 +3,7 @@ fixed-window linear approximation, each with derivative output."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,8 +124,9 @@ def windowed_linear(
     Jul 1-Dec 31 in decimal years. Windows with fewer than two distinct
     epochs carry NaN (no-estimate) markers.
     """
-    if window <= 0:
-        raise InvalidInputError(f"window must be positive, got {window}")
+    if not (0 < window < math.inf and math.isfinite(anchor)):
+        raise InvalidInputError(f"window must be finite and > 0 and anchor finite, "
+                                f"got window={window!r}, anchor={anchor!r}")
     t, y = data.times, data.values
     first = anchor + np.floor((t[0] - anchor) / window) * window
     n_windows = int(np.floor((t[-1] - first) / window)) + 1

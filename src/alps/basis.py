@@ -50,13 +50,6 @@ class KnotVector:
     def interior_knots(self) -> np.ndarray:
         return self.knots[self.p + 1 : self.p + self.m]
 
-    def span_index(self, t: float) -> int:
-        """Index (0-based, within the data domain) of the span containing t."""
-        lo, hi = self.domain
-        if t >= hi:
-            return int(np.searchsorted(self.knots, hi, side="left")) - 1 - self.p
-        return int(np.searchsorted(self.knots, t, side="right")) - 1 - self.p
-
 
 @dataclass(frozen=True)
 class BasisMatrix:

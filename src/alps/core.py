@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +79,10 @@ class FitConfig:
     m_scan: str = "exhaustive"
 
     def __post_init__(self):
+        for name in ("p", "q"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not 2 <= self.p <= 4:
             raise ConfigError(f"degree p must be in [2, 4], got {self.p}")
         if not 1 <= self.q < self.p:
@@ -85,9 +90,9 @@ class FitConfig:
                 f"penalty order q must satisfy 1 <= q < p, got q={self.q}, p={self.p}"
             )
         if self.placement not in PLACEMENTS:
-            raise ConfigError(f"unknown knot placement {self.placement!r}")
+            raise ConfigError(f"placement must be one of {PLACEMENTS}, got {self.placement!r}")
         if self.m_scan not in M_SCANS:
-            raise ConfigError(f"m_scan must be 'exhaustive' or 'strided', got {self.m_scan!r}")
+            raise ConfigError(f"m_scan must be one of {M_SCANS}, got {self.m_scan!r}")
 
 
 @dataclass(frozen=True)
@@ -258,17 +263,13 @@ def _mean_and_quad(model: AlpsModel, B: BasisMatrix):
     return mean, quad
 
 
-def _t_quantile(model: AlpsModel, alpha: float) -> float:
-    return _student_t.quantile(model.df_res, alpha)
-
-
 def _band(model: AlpsModel, B: BasisMatrix, alpha: float) -> PredictionBand:
     """The band at the epochs of basis (or basis-derivative) ``B``."""
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     mean, quad = _mean_and_quad(model, B)
     std = math.sqrt(max(model.sigma2, 0.0)) * np.sqrt(quad)
-    tq = _t_quantile(model, alpha)
+    tq = _student_t.quantile(model.df_res, alpha)
     return PredictionBand(
         epochs=B.epochs, mean=mean, std=std, half_width=tq * std, alpha=alpha
     )
@@ -357,7 +358,8 @@ def model_from_dict(doc: dict) -> AlpsModel:
         if type(version) is not int or version not in (1, 2):
             raise ParseError(f"unsupported document version {version!r}; known: 1, 2")
         p, q, m, n = (_scalar(doc, key, (int,)) for key in ("p", "q", "m", "n"))
-        FitConfig(p=p, q=q)  # a degree or order no fit accepts gives broken bands
+        # A degree, order or placement that no fit accepts gives broken bands.
+        placement = FitConfig(p=p, q=q, placement=doc["placement"]).placement
         kv = KnotVector(_numbers(doc["knots"], "knots"), p=p, m=m)
         theta = _numbers(doc["theta"], "theta")
         c = m + p
@@ -381,9 +383,7 @@ def model_from_dict(doc: dict) -> AlpsModel:
             raise ParseError(f"NaN or zero-width bands: {sigma2=}, {df_res=}, {kv.domain=}")
         if not math.isfinite(gcv_cost):
             raise ParseError(f"gcv_cost must be finite, got {gcv_cost!r}")
-        ridged, placement = _scalar(doc, "ridged", (bool,), False), doc["placement"]
-        if placement not in PLACEMENTS:
-            raise ParseError(f"placement must be one of {PLACEMENTS}, got {placement!r}")
+        ridged = _scalar(doc, "ridged", (bool,), False)
         meta = FitMetadata(gcv_cost=gcv_cost, placement=placement, n=n, scan=(), ridged=ridged)
         return AlpsModel(
             knot_vector=kv, p=p, q=q, lambda_hat=lam, theta=theta,

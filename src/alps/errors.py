@@ -38,10 +38,6 @@ class RankDeficiencyError(NumericalError):
     """Singular or indefinite normal matrix, beyond ridge repair."""
 
 
-class NoValidLambdaError(NumericalError):
-    """Every smoothing-parameter candidate produced a degenerate score."""
-
-
 class FitFailureError(NumericalError):
     """No (section count, lambda) configuration produced a usable fit."""
 

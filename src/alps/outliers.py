@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
+from . import _student_t, core
 from .basis import eval_basis
 from .errors import ConfigError, InsufficientDataAfterRejectionError, InsufficientDataError
 from .timeseries import TimeSeries
@@ -47,7 +47,7 @@ def _flag(model: core.AlpsModel, series: TimeSeries, threshold: float) -> np.nda
     resid = np.abs(series.values - mean)
     # Half-width of the 99% band for a new observation.
     sigma = math.sqrt(max(model.sigma2, 0.0))
-    width = core._t_quantile(model, 0.01) * sigma * np.sqrt(1.0 + quad)
+    width = _student_t.quantile(model.df_res, 0.01) * sigma * np.sqrt(1.0 + quad)
     # Guard against flagging pure floating-point noise when the fit is an
     # exact reproduction (band widths collapse to ~0 along with residuals).
     scale = 1e-12 * max(float(np.max(np.abs(series.values))), 1.0)
@@ -73,8 +73,9 @@ def detect_and_refit(
     threshold2: float = DEFAULT_THRESHOLD2,
 ) -> OutlierReport:
     """Run the two-pass rejection and return flags plus the cleaned fit."""
-    if threshold1 <= 0 or threshold2 <= 0:
-        raise ConfigError("outlier thresholds must be positive")
+    if not (0 < threshold1 < math.inf and 0 < threshold2 < math.inf):
+        raise ConfigError(f"outlier thresholds must be finite and > 0, got "
+                          f"{threshold1!r} and {threshold2!r}")
     n = len(data)
     indices = np.arange(n)
 

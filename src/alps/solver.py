@@ -12,13 +12,14 @@ size min(r, c), after which a GCV cost is O(min(r, c)) arithmetic on the
 eigenvalues. Then ``search_lambda`` scores a whole stack
 of profiles in lock-step as arrays: every grid point of every row, then the
 golden-section steps of all rows together. ``minimize_gcv_lambda`` runs
-both phases for one design or for a sequence of them.
+both phases on an iterable of designs and returns arrays.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,11 +27,7 @@ import numpy as np
 
 from ._blas import blas_threads_for
 from .basis import BasisMatrix
-from .errors import (
-    InvalidInputError,
-    NoValidLambdaError,
-    RankDeficiencyError,
-)
+from .errors import InvalidInputError, RankDeficiencyError
 from .penalty import difference_band
 
 # GCV denominator (1 - tr(H)/n) below this scores +inf: the configuration is
@@ -53,6 +50,8 @@ class LambdaGrid:
     num: int = 41
 
     def __post_init__(self):
+        if not isinstance(self.num, numbers.Integral) or isinstance(self.num, bool):
+            raise InvalidInputError(f"lambda grid num must be an integer, got {self.num!r}")
         if not (0 < self.lo <= self.hi < math.inf) or self.num < 1:
             raise InvalidInputError("lambda grid needs 0 < lo <= hi < inf and num >= 1")
 
@@ -163,7 +162,7 @@ def _gcv_cost(rss, tr_h, n):
     1 - tr(H)/n is below the floor (near-interpolating configuration)."""
     denom = 1.0 - tr_h / n
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(denom < GCV_DENOM_FLOOR, np.inf, np.maximum(rss, 0.0) / denom**2)
+        return np.where(denom < GCV_DENOM_FLOOR, np.inf, rss / denom**2)
 
 
 def best_columns(cost: np.ndarray, key: np.ndarray, sign: int) -> np.ndarray:
@@ -346,31 +345,29 @@ def _golden_section(costs, lo: np.ndarray, hi: np.ndarray):
     return np.column_stack(lams), np.column_stack(scored)
 
 
-def minimize_gcv_lambda(B, y, q: int, grid: LambdaGrid = LambdaGrid()):
-    """The GCV-minimizing lambda of the ``BasisMatrix`` ``B``:
-    (lambda_hat, cost), deterministic for fixed inputs. Raises
-    NoValidLambdaError when every candidate is degenerate, and
-    InvalidInputError for a design of any other type.
+def minimize_gcv_lambda(designs, y, q: int, grid: LambdaGrid = LambdaGrid()):
+    """The GCV-minimizing lambda of each ``BasisMatrix`` in the iterable
+    ``designs``: arrays (lambda_hat, cost), one entry per design, (nan, inf)
+    where every candidate is degenerate; deterministic for fixed inputs,
+    and each entry equals the search on that design alone. A None design
+    (``basis.scan_bases``' degenerate knots) scores as a pencil that is not
+    definite. A design of any other type, or a bare ``BasisMatrix`` in place
+    of the iterable, is an InvalidInputError.
 
-    ``B`` may instead be an iterable of designs. Each is diagonalized in its
-    own BLAS scope and dropped before the next is drawn, then
-    ``search_lambda`` searches all of them together. The result is then
-    arrays (lambda_hat, cost), one entry per design, (nan, inf) where every
-    candidate is degenerate; each entry equals the one-design search. A
-    None design (``basis.scan_bases``' degenerate knots) scores as a pencil
-    that is not definite.
-
-    A design's rows are merged by epoch before diagonalizing (rows at one
+    Each design is diagonalized in its own BLAS scope and dropped before the
+    next is drawn, then ``search_lambda`` searches all of them together. A
+    design's rows are merged by epoch before diagonalizing (rows at one
     epoch are equal), from its local values, so that its dense rows are
     built at the distinct epochs only; designs that share one epochs array
     share the merge.
     """
     import scipy.linalg  # noqa: F401  (loaded before any BLAS scope opens)
 
+    if isinstance(designs, BasisMatrix):
+        raise InvalidInputError("designs must be an iterable of BasisMatrix; pass [B] for one")
     y = np.asarray(y, dtype=float)
-    yy, one = float(y @ y), isinstance(B, BasisMatrix)
-    profiles, epochs = [], None
-    for design in [B] if one else B:
+    yy, profiles, epochs = float(y @ y), [], None
+    for design in designs:
         if design is None:
             profiles.append(GcvProfile(None))
             continue
@@ -383,9 +380,4 @@ def minimize_gcv_lambda(B, y, q: int, grid: LambdaGrid = LambdaGrid()):
         # Drop it before the next is drawn: with two large designs alive at
         # once, a strided n = 1500 fit peaked 50 MB higher.
         del design, Bu
-    lam, cost = search_lambda(profiles, y.size, grid.points())
-    if not one:
-        return lam, cost
-    if not np.isfinite(cost[0]):
-        raise NoValidLambdaError("every candidate lambda produced a degenerate GCV score")
-    return float(lam[0]), float(cost[0])
+    return search_lambda(profiles, y.size, grid.points())

@@ -138,5 +138,11 @@ class TestWindowedLinear:
         np.testing.assert_allclose(np.diff(model.breakpoints), 0.5)
 
     def test_window_must_be_positive(self):
+        series = TimeSeries(np.array([0.0, 1.0]), np.zeros(2))
         with pytest.raises(InvalidInputError):
-            windowed_linear(TimeSeries(np.array([0.0, 1.0]), np.zeros(2)), window=0.0)
+            windowed_linear(series, window=0.0)
+        # And finite, with a finite anchor: NaN passes a "<= 0" test.
+        for window, anchor in ((np.nan, 0.0), (np.inf, 0.0), (-np.inf, 0.0),
+                               (0.5, np.nan), (0.5, np.inf)):
+            with pytest.raises(InvalidInputError, match="finite"):
+                windowed_linear(series, window, anchor)

@@ -195,7 +195,7 @@ def design(series):
     lambda s, m, d: outliers.detect_and_refit(s),
     lambda s, m, d: fusion.reconstruct(fusion.FusionInput(
         fusion_suite(seed=0).observations, fusion_suite(seed=0).dense_model)),
-    lambda s, m, d: solver.minimize_gcv_lambda(d, s.values, 2),
+    lambda s, m, d: solver.minimize_gcv_lambda([d], s.values, 2),
     lambda s, m, d: solver.fit_penalized(d, s.values, 2, 1.0),
 ])
 def test_counts_restored_after_return(call, series, model, design, two_threads):

@@ -103,6 +103,13 @@ class TestFitPredict:
         assert result.stderr.count("\n") == 1
         assert result.stderr.startswith("error: InsufficientDataError: ")
 
+    def test_no_usable_configuration_exits_4_with_one_error_line(self, gl_data, monkeypatch):
+        data, _ = gl_data
+        monkeypatch.setattr(core, "scan_bases", lambda times, ms, p, placement: (None for _ in ms))
+        result = run("fit", data)
+        assert result.exit_code == 4
+        assert re.fullmatch(r"error: FitFailureError: [^\n]+\n", result.stderr), result.stderr
+
     def test_missing_input_is_parse_error(self, tmp_path):
         result = run("fit", tmp_path / "nope.csv")
         assert result.exit_code == 3
@@ -219,6 +226,15 @@ class TestOutliersCommand:
             rows = list(csv.DictReader(fh))
         flagged = {int(r["index"]) for r in rows}
         assert set(idx) <= flagged
+
+    def test_nan_thresholds_exit_2_with_one_error_line(self, tmp_path, gl_data):
+        data, _ = gl_data
+        flags = tmp_path / "flags.csv"
+        result = run("outliers", data, "--threshold1", "nan", "--threshold2", "nan",
+                     "--flags-out", flags)
+        assert result.exit_code == 2
+        assert re.fullmatch(r"error: ConfigError: [^\n]+\n", result.stderr), result.stderr
+        assert not flags.exists()
 
     def test_m_scan_reaches_every_fit(self, tmp_path, monkeypatch):
         # Long enough for the strided scan to differ from the exhaustive one.

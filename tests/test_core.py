@@ -18,6 +18,7 @@ from alps.errors import (
     ConfigError,
     DegenerateKnotsError,
     InsufficientDataError,
+    FitFailureError,
     InvalidInputError,
     OutOfDomainError,
     ParseError,
@@ -101,6 +102,17 @@ class TestFit:
         with pytest.raises(InsufficientDataError):
             core.fit(TimeSeries(t[:4], np.zeros(4)), core.FitConfig(p=4))
 
+    def test_no_usable_configuration_is_a_fit_failure(self, monkeypatch):
+        # Every m's knots degenerate: each scan row scores (nan, inf).
+        t = np.linspace(0.0, 1.0, 12)
+        series = TimeSeries(t, np.sin(3 * t))
+        monkeypatch.setattr(core, "scan_bases", lambda times, ms, p, placement: (None for _ in ms))
+        with pytest.raises(FitFailureError) as err:
+            core.fit(series)
+        rows = err.value.diagnostics
+        assert [m for m, _, _ in rows] == list(range(1, t.size))
+        assert all(np.isnan(lam) and cost == np.inf for _, lam, cost in rows)
+
     def test_every_scan_row_is_the_one_design_search(self, noisy_model):
         # The scan scores all section counts together; each row must be
         # exactly what the search gives on that m's basis alone.
@@ -109,11 +121,12 @@ class TestFit:
         assert [m for m, _, _ in rows] == list(range(1, len(series)))
         for m, lam, cost in rows:
             B = eval_basis(build_knot_vector(series.times, m, 4), series.times)
-            assert (lam, cost) == minimize_gcv_lambda(B, series.values, 2)
+            (lam_alone,), (cost_alone,) = minimize_gcv_lambda([B], series.values, 2)
+            assert (lam, cost) == (lam_alone, cost_alone)
 
     def test_every_scan_row_is_the_one_design_search_on_repeated_epochs(self):
         # Campaign dates repeated three times, then a sparse tail: the scan
-        # merges rows by epoch once for every m, the one-design search per
+        # merges rows by epoch once for every m, the search on [B] once per
         # basis, and both must give the same bits.
         rng = np.random.default_rng(8)
         dates = np.sort(rng.uniform(2003.0, 2009.0, 20))
@@ -124,7 +137,8 @@ class TestFit:
         assert [m for m, _, _ in rows] == list(range(1, t.size))
         for m, lam, cost in rows:
             B = eval_basis(build_knot_vector(t, m, 4), t)
-            assert (lam, cost) == minimize_gcv_lambda(B, y, 2)
+            (lam_alone,), (cost_alone,) = minimize_gcv_lambda([B], y, 2)
+            assert (lam, cost) == (lam_alone, cost_alone)
 
     def test_degenerate_rows_and_selection(self):
         # Epochs one and two ulps above 1.0: from m = 10 on, quantile knots
@@ -290,10 +304,17 @@ class TestFitConfig:
     @pytest.mark.parametrize("fields", [
         {"p": 1}, {"p": 5}, {"q": 0}, {"q": 4}, {"p": 3, "q": 3},
         {"placement": "uniform"}, {"m_scan": "fast"},
+        {"p": 3.0}, {"q": 1.0}, {"p": True}, {"q": True}, {"p": "3"}, {"q": np.float64(1.0)},
     ])
     def test_rules(self, fields):
         with pytest.raises(ConfigError):
             core.FitConfig(**fields)
+
+    def test_numpy_integers_are_integers(self):
+        config = core.FitConfig(p=np.int64(3), q=np.int32(2))
+        t = np.linspace(0.0, 1.0, 12)
+        model = core.fit(TimeSeries(t, np.sin(3 * t)), config)
+        assert (model.p, model.q) == (3, 2)
 
 
 class TestPredict:

@@ -78,6 +78,11 @@ class TestDetectAndRefit:
             outliers.detect_and_refit(series, threshold1=0.0)
         with pytest.raises(ConfigError):
             outliers.detect_and_refit(series, threshold2=-1.0)
+        # NaN passes a "<= 0" test and, as a threshold, flags nothing.
+        for value in (np.nan, np.inf, -np.inf):
+            for level in ("threshold1", "threshold2"):
+                with pytest.raises(ConfigError, match="finite and > 0"):
+                    outliers.detect_and_refit(series, **{level: value})
 
     def test_insufficient_data_after_rejection(self):
         t = np.linspace(0, 1, 7)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from alps import solver
 from alps.basis import build_knot_vector, eval_basis
-from alps.errors import InvalidInputError, NoValidLambdaError, RankDeficiencyError
+from alps.errors import InvalidInputError, RankDeficiencyError
 from alps.penalty import difference_matrix
 from alps.solver import (
     COST_TIE_RTOL,
@@ -173,6 +173,9 @@ class TestFitPenalized:
                 minimize_gcv_lambda(design, y, 2)
             with pytest.raises(InvalidInputError, match="BasisMatrix"):
                 minimize_gcv_lambda([B, design], y, 2)
+        # A bare design is not the iterable of them the search takes.
+        with pytest.raises(InvalidInputError, match="iterable"):
+            minimize_gcv_lambda(B, y, 2)
 
 
 class TestSmootherMatrix:
@@ -240,7 +243,7 @@ class TestMinimizeGcvLambda:
     def test_noiseless_linear_prefers_largest_lambda(self):
         times, kv, B = uniform_design(n=20, m=4, p=3)
         y = 1.0 + 2.0 * times
-        lam, cost = minimize_gcv_lambda(B, y, q=2)
+        (lam,), (cost,) = minimize_gcv_lambda([B], y, q=2)
         assert lam == LambdaGrid().hi
         assert cost < 1e-18
 
@@ -251,7 +254,7 @@ class TestMinimizeGcvLambda:
         for seed in range(8):
             rng = np.random.default_rng(seed)
             y = truth + rng.normal(0, 0.5, 60)
-            lam, _ = minimize_gcv_lambda(B, y, q=2)
+            (lam,), _ = minimize_gcv_lambda([B], y, q=2)
             assert lam > LambdaGrid().lo
             fit_sel = fit_penalized(B, y, 2, lam)
             fit_min = fit_penalized(B, y, 2, LambdaGrid().lo)
@@ -267,7 +270,7 @@ class TestMinimizeGcvLambda:
         kv = build_knot_vector(times, m=10, p=4)
         B = eval_basis(kv, times)
         y = np.sin(times) + rng.normal(0, 0.3, 50)
-        lam, cost = minimize_gcv_lambda(B, y, q=2)
+        (lam,), (cost,) = minimize_gcv_lambda([B], y, q=2)
         candidates = [0.5, 0.01, 0.005, 0.001]
         scores = [gcv_score(B, y, 2, c) for c in candidates]
         assert cost <= min(scores) * (1 + 1e-9)
@@ -278,16 +281,16 @@ class TestMinimizeGcvLambda:
         times = np.array([0.0, 1.0])
         kv = build_knot_vector(times, m=1, p=2)  # c = 3
         B = eval_basis(kv, times)
-        with pytest.raises(NoValidLambdaError):
-            minimize_gcv_lambda(B, np.array([0.0, 1.0]), q=2)
+        (lam,), (cost,) = minimize_gcv_lambda([B], np.array([0.0, 1.0]), q=2)
+        assert np.isnan(lam) and cost == np.inf
 
     def test_deterministic(self):
         rng = np.random.default_rng(33)
         times, kv, B = uniform_design(n=45, m=9, p=4)
         y = np.cos(3 * times) + rng.normal(0, 0.2, 45)
-        first = minimize_gcv_lambda(B, y, q=2)
-        second = minimize_gcv_lambda(B, y, q=2)
-        assert first == second
+        first = minimize_gcv_lambda([B], y, q=2)
+        second = minimize_gcv_lambda([B], y, q=2)
+        assert (first[0][0], first[1][0]) == (second[0][0], second[1][0])
 
     def test_grid_validation(self):
         with pytest.raises(InvalidInputError):
@@ -296,6 +299,10 @@ class TestMinimizeGcvLambda:
             LambdaGrid(1.0, 0.5, 10)
         with pytest.raises(InvalidInputError, match="hi < inf"):
             LambdaGrid(1.0, np.inf, 10)
+        for num in (41.0, True, "41", np.float64(41.0)):
+            with pytest.raises(InvalidInputError, match="integer"):
+                LambdaGrid(1.0, 2.0, num)
+        assert LambdaGrid(1.0, 2.0, np.int64(3)).points().size == 3
 
 
 class TestResidualDf:
@@ -453,7 +460,8 @@ class TestSearchLambda:
             alone = search_lambda([profile], y.size, points)
             assert (alone[0][0], alone[1][0]) == (together[0][i], together[1][i])
             assert (alone[0][0], alone[1][0]) == (reversed_[0][-1 - i], reversed_[1][-1 - i])
-            assert (alone[0][0], alone[1][0]) == minimize_gcv_lambda(B, y, 2)
+            lam, cost = minimize_gcv_lambda([B], y, 2)
+            assert (alone[0][0], alone[1][0]) == (lam[0], cost[0])
 
     def test_every_degenerate_row_gives_nan_and_inf(self):
         times = np.array([0.0, 1.0])
@@ -483,7 +491,8 @@ class TestSearchLambda:
     def test_an_iterable_of_designs_gives_one_row_each(self):
         y, designs, _ = _profiles()
         lam, cost = minimize_gcv_lambda(iter(designs), y, 2)
-        assert [minimize_gcv_lambda(B, y, 2) for B in designs] == list(zip(lam, cost))
+        alone = [minimize_gcv_lambda([B], y, 2) for B in designs]
+        assert [(a[0][0], a[1][0]) for a in alone] == list(zip(lam, cost))
         times = np.array([0.0, 1.0])
         B = eval_basis(build_knot_vector(times, m=1, p=2), times)
         lam, cost = minimize_gcv_lambda([B], np.array([0.0, 1.0]), 2)
@@ -492,7 +501,7 @@ class TestSearchLambda:
 
     def test_a_one_point_grid_is_not_refined(self):
         y, designs, _ = _profiles(ms=(9,))
-        lam, cost = minimize_gcv_lambda(designs[0], y, 2, LambdaGrid(0.5, 0.5, 1))
+        (lam,), (cost,) = minimize_gcv_lambda(designs[:1], y, 2, LambdaGrid(0.5, 0.5, 1))
         assert lam == 0.5
         assert cost == pytest.approx(gcv_score(designs[0], y, 2, 0.5), rel=1e-9)
 
@@ -505,16 +514,15 @@ class TestSearchLambda:
             times = np.sort(rng.uniform(0, 10, 60))
             y = np.sin(times) + rng.normal(0, 0.3, 60)
             B = eval_basis(build_knot_vector(times, 15, 4), times)
-            lam0, cost0 = minimize_gcv_lambda(B, y, q=2)
-            lam1, cost1 = minimize_gcv_lambda(B, y + shift, q=2)
+            (lam0,), (cost0,) = minimize_gcv_lambda([B], y, q=2)
+            (lam1,), (cost1,) = minimize_gcv_lambda([B], y + shift, q=2)
             assert abs(np.log(lam1 / lam0)) <= 1e-9
             assert cost1 == pytest.approx(cost0, rel=1e-9)
 
     def test_profile_costs_match_the_direct_factorization(self, monkeypatch):
         # The profile's O(c) cost against the Cholesky path of the gcv_score
         # oracle (the reference). A pencil that is not definite has no
-        # profile: its row is degenerate, and a one-design search has no
-        # valid lambda.
+        # profile: its row is degenerate, alone or among others.
         y, designs, profiles = _profiles(ms=(4, 20, 58))
         lams = np.geomspace(1e-4, 1e4, 9)
         costs = solver._scorer(profiles, y.size, lams.size)(np.tile(lams, (len(profiles), 1)))
@@ -530,8 +538,8 @@ class TestSearchLambda:
         assert np.isnan(lam).all() and (cost == np.inf).all()
         for B in designs:
             assert profile(B, y, 2).mu is None
-            with pytest.raises(NoValidLambdaError):
-                minimize_gcv_lambda(B, y, 2)
+            (lam,), (cost,) = minimize_gcv_lambda([B], y, 2)
+            assert np.isnan(lam) and cost == np.inf
 
 
 def _repeated(dates, repeats, lo=0.0, span=1.0, seed=0):
