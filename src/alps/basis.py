@@ -47,9 +47,6 @@ class KnotVector:
     def domain(self) -> tuple[float, float]:
         return float(self.knots[self.p]), float(self.knots[self.p + self.m])
 
-    def interior_knots(self) -> np.ndarray:
-        return self.knots[self.p + 1 : self.p + self.m]
-
 
 @dataclass(frozen=True)
 class BasisMatrix:

@@ -7,17 +7,18 @@ each epoch's p + 1 local values, to one lambda search, which diagonalizes
 each in turn and then scores all of them in lock-step. It keeps the
 configuration with the smallest GCV cost, preferring fewer sections on
 ties. The refit at the winning configuration keeps the p + 1 diagonals of
-its Cholesky factor, and the model its inverse factor, so bands at new
-epochs never re-solve the fit.
+its Cholesky factor L; a model's first band inverts L and later bands
+reuse that inverse, so bands at new epochs never re-solve the fit.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,6 +90,8 @@ class FitConfig:
             raise ConfigError(
                 f"penalty order q must satisfy 1 <= q < p, got q={self.q}, p={self.p}"
             )
+        if not isinstance(self.lambda_grid, LambdaGrid):
+            raise ConfigError(f"lambda_grid must be a LambdaGrid, got {self.lambda_grid!r}")
         if self.placement not in PLACEMENTS:
             raise ConfigError(f"placement must be one of {PLACEMENTS}, got {self.placement!r}")
         if self.m_scan not in M_SCANS:
@@ -111,16 +114,15 @@ class FitMetadata:
 
 @dataclass(frozen=True)
 class AlpsModel:
-    """Immutable fitted model; all prediction state is cached here.
+    """Immutable fitted model: exactly the state its document stores.
 
     ``factor_diagonals`` holds the p + 1 diagonals of L, the Cholesky factor
     of the normal matrix A = LL' (A has bandwidth p), the main one first:
     diagonal k holds the c - k entries L[k + i, i]. ``inverse_factor`` is
-    W = L^{-1}, built from them when the model is made, by the same routine
-    for a fit and for a loaded document."""
+    W = L^{-1}, built from them by the model's first band, by the same
+    routine for a fit and for a loaded document, and kept for later ones."""
 
     knot_vector: KnotVector
-    p: int
     q: int
     lambda_hat: float
     theta: np.ndarray
@@ -128,9 +130,9 @@ class AlpsModel:
     sigma2: float
     factor_diagonals: tuple
     fit_metadata: FitMetadata
-    inverse_factor: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    @functools.cached_property
+    def inverse_factor(self) -> np.ndarray:
         c = self.factor_diagonals[0].size
         upper = np.zeros((c, c))  # L'
         for k, diagonal in enumerate(self.factor_diagonals):
@@ -138,7 +140,11 @@ class AlpsModel:
         with blas_threads_for(c):
             # inv(L') = W', so W comes out Fortran-ordered: its columns,
             # which bands gather, are contiguous.
-            object.__setattr__(self, "inverse_factor", np.linalg.inv(upper).T)
+            return np.linalg.inv(upper).T
+
+    @property
+    def p(self) -> int:
+        return self.knot_vector.p
 
     @property
     def m_hat(self) -> int:
@@ -223,7 +229,7 @@ def fit(data: TimeSeries, config: FitConfig = FitConfig()) -> AlpsModel:
         scan=tuple(rows), ridged=result.ridged, lambda_at_grid_end=at_end,
     )
     return AlpsModel(
-        knot_vector=kv, p=p, q=q, lambda_hat=lambda_hat, theta=result.theta,
+        knot_vector=kv, q=q, lambda_hat=lambda_hat, theta=result.theta,
         df_res=result.df_res, sigma2=result.sigma2,
         factor_diagonals=result.factor_diagonals, fit_metadata=meta,
     )
@@ -386,7 +392,7 @@ def model_from_dict(doc: dict) -> AlpsModel:
         ridged = _scalar(doc, "ridged", (bool,), False)
         meta = FitMetadata(gcv_cost=gcv_cost, placement=placement, n=n, scan=(), ridged=ridged)
         return AlpsModel(
-            knot_vector=kv, p=p, q=q, lambda_hat=lam, theta=theta,
+            knot_vector=kv, q=q, lambda_hat=lam, theta=theta,
             df_res=df_res, sigma2=sigma2,
             factor_diagonals=diagonals, fit_metadata=meta,
         )

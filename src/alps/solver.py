@@ -194,7 +194,10 @@ class GcvProfile(NamedTuple):
     by rounding only. An rss at or below ``zero`` is rounding of y'y and
     scores 0. mu is None where B_u'B_u + D'D is not definite (fewer than q
     distinct epochs, which ``core.fit`` rejects): such a profile scores
-    +inf at every lambda."""
+    +inf at every lambda. With exactly q distinct epochs, the splines that
+    D leaves unpenalized interpolate the epochs' values: every mu is 0 and
+    w = ys^2, so every (m, lambda) scores the same float and the tie rules
+    decide."""
 
     mu: np.ndarray | None
     w: np.ndarray | None = None
@@ -222,6 +225,9 @@ def gcv_profile(Bu: np.ndarray, ys: np.ndarray, yy: float, p: int, q: int) -> Gc
     import scipy.linalg
 
     r, c = Bu.shape
+    if r == q:
+        w = ys * ys
+        return GcvProfile(np.zeros(r), w, yy - math.fsum(w), _RSS_ROUNDING * yy)
     G = Bu.T @ Bu
     # LAPACK directly: at these sizes the checked wrappers cost as much as
     # the factorization. info > 0 is a factor that is not definite.
@@ -249,12 +255,10 @@ def _distinct_rows(epochs, y: np.ndarray):
     """(merge, ys): ``merge`` maps a ``BasisMatrix`` at ``epochs`` to its
     dense rows, one per distinct epoch times the square root of its count,
     and ys holds each epoch's sum of y over that root. The local rows are
-    merged first, so only those r dense rows are built. When no epoch
-    repeats, merge returns the design's dense rows and ys is y."""
+    merged first, so only those r dense rows are built. For sorted epochs
+    that never repeat, these are the design's rows and y, bit for bit."""
     _, first, inverse, counts = np.unique(
         epochs, return_index=True, return_inverse=True, return_counts=True)
-    if first.size == y.size:
-        return (lambda B: B.values), y
     root = np.sqrt(counts)
     return (lambda B: B.at(first).values * root[:, None]), np.bincount(inverse, weights=y) / root
 

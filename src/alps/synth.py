@@ -80,15 +80,3 @@ def fusion_suite(
         truth_slow=slow_component(dense_t),
     )
 
-
-def irregular_epochs(
-    n_dense: int = 40, n_sparse: int = 6, seed: int = 0
-) -> np.ndarray:
-    """Multi-sensor-style sampling: dense 2003-2009.5, then a handful of
-    epochs through 2016.5."""
-    rng = np.random.default_rng(seed)
-    dense = rng.uniform(2003.0, 2009.5, n_dense)
-    sparse = rng.uniform(2010.5, 2016.5, n_sparse)
-    t = np.sort(np.concatenate((dense, sparse)))
-    t[0], t[-1] = 2003.0, 2016.5
-    return t

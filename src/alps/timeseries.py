@@ -25,6 +25,7 @@ class TimeSeries:
     """Ordered (time, value) samples with optional per-point nominal sigma.
 
     ``sigma`` is carried for reporting only; it does not enter fitting.
+    Each sigma must be finite and >= 0.
     """
 
     times: np.ndarray
@@ -45,6 +46,8 @@ class TimeSeries:
             sigma = np.asarray(sigma, dtype=float)
             if sigma.shape != times.shape:
                 raise InvalidInputError("sigma must match times in length")
+            if not np.all(np.isfinite(sigma) & (sigma >= 0)):
+                raise InvalidInputError("sigma must be finite and >= 0")
         order = np.argsort(times, kind="stable")
         object.__setattr__(self, "times", times[order])
         object.__setattr__(self, "values", values[order])

@@ -8,7 +8,6 @@ from alps.baselines import (
     windowed_linear,
 )
 from alps.errors import InvalidInputError, RankDeficiencyError
-from alps.synth import irregular_epochs
 from alps.timeseries import TimeSeries
 
 
@@ -49,7 +48,10 @@ class TestFitPolynomial:
         # dense sampling up to 2009.5, a handful of epochs through 2016.5,
         # with a rapid transition near the end of the dense segment
         rng = np.random.default_rng(1)
-        t = irregular_epochs(n_dense=40, n_sparse=5, seed=1)
+        epochs_rng = np.random.default_rng(1)
+        dense = epochs_rng.uniform(2003.0, 2009.5, 40)
+        t = np.sort(np.concatenate((dense, epochs_rng.uniform(2010.5, 2016.5, 5))))
+        t[0], t[-1] = 2003.0, 2016.5
         y = -5.0 * np.tanh((t - 2009.0) / 0.7) + rng.normal(0, 0.3, t.size)
         model = fit_polynomial(TimeSeries(t, y), 5)
         gap = np.linspace(2010.0, 2016.5, 400)

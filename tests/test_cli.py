@@ -110,6 +110,16 @@ class TestFitPredict:
         assert result.exit_code == 4
         assert re.fullmatch(r"error: FitFailureError: [^\n]+\n", result.stderr), result.stderr
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf", "-1"])
+    def test_a_sigma_not_finite_or_negative_exits_3(self, tmp_path, sigma):
+        data = tmp_path / "data.csv"
+        rows = "".join(f"{2000 + k},{k % 3},0.1\n" for k in range(9))
+        data.write_text(f"time,value,sigma\n{rows}2009,1,{sigma}\n")
+        result = run("fit", data)
+        assert result.exit_code == 3
+        assert re.fullmatch(r"error: ParseError: [^\n]*sigma must be finite and >= 0\n",
+                            result.stderr), result.stderr
+
     def test_missing_input_is_parse_error(self, tmp_path):
         result = run("fit", tmp_path / "nope.csv")
         assert result.exit_code == 3

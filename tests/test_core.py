@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import logging
@@ -157,6 +158,24 @@ class TestFit:
             (3, 1.0, 1.0)
         assert core._select([(1, 0.5, 2.0), (2, 0.1, 2.0 * (1 - 1e-13))])[0] == 1
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("k, p, q", [(2, 3, 2), (2, 4, 2), (3, 4, 3)])
+    def test_exactly_q_distinct_epochs_tie_every_configuration(self, seed, k, p, q):
+        # 12 points on q dates: the splines D_q leaves unpenalized
+        # interpolate the date means, so every (m, lambda) has the same
+        # fitted values and the same cost, and the tie rules pick the
+        # smallest m and the largest lambda.
+        rng = np.random.default_rng([seed, 8])
+        centres = np.sort(rng.uniform(2000.0, 2010.0, k))
+        t = np.sort(np.concatenate((centres, rng.choice(centres, 12 - k))))
+        y = rng.normal(size=t.size)
+        model = core.fit(TimeSeries(t, y), core.FitConfig(p=p, q=q))
+        costs = {cost for _, _, cost in model.fit_metadata.scan if np.isfinite(cost)}
+        assert costs == {model.fit_metadata.gcv_cost}
+        assert (model.m_hat, model.lambda_hat) == (1, LambdaGrid().hi)
+        means = np.array([y[t == c].mean() for c in centres])
+        np.testing.assert_allclose(core.predict(model, centres).mean, means, atol=1e-9)
+
     @pytest.mark.parametrize("epochs, q", [([2000.0, 2001.0], 3), ([2000.0], 2), ([2000.0], 1)])
     def test_fewer_distinct_epochs_than_max_2_q_is_insufficient_data(self, epochs, q):
         # Repeats raise n past p + 2, but B'B + D'D is singular below q
@@ -305,6 +324,7 @@ class TestFitConfig:
         {"p": 1}, {"p": 5}, {"q": 0}, {"q": 4}, {"p": 3, "q": 3},
         {"placement": "uniform"}, {"m_scan": "fast"},
         {"p": 3.0}, {"q": 1.0}, {"p": True}, {"q": True}, {"p": "3"}, {"q": np.float64(1.0)},
+        {"lambda_grid": (1e-4, 1e4, 41)}, {"lambda_grid": None},
     ])
     def test_rules(self, fields):
         with pytest.raises(ConfigError):
@@ -378,7 +398,7 @@ def _model_at(times, y, m, p, q, lam, placement="equidistant"):
     result = fit_penalized(eval_basis(kv, times), y, q, lam)
     meta = core.FitMetadata(gcv_cost=0.0, placement=placement, n=len(times))
     return core.AlpsModel(
-        knot_vector=kv, p=p, q=q, lambda_hat=lam, theta=result.theta, df_res=result.df_res,
+        knot_vector=kv, q=q, lambda_hat=lam, theta=result.theta, df_res=result.df_res,
         sigma2=result.sigma2, factor_diagonals=result.factor_diagonals, fit_metadata=meta)
 
 
@@ -403,7 +423,7 @@ def _band_inputs():
     """``_model_at``'s arguments for each band case at a fixed (m, lambda)."""
     rng = np.random.default_rng(11)
     # Ten sections without data: at lambda = 1e-12 cond(A) is about 3e13,
-    # and a std from an explicit band of A^{-1} is off by 6e-8.
+    # and a std from the band of A^{-1} is off by 3e-10.
     gap = np.sort(np.concatenate((rng.uniform(0.0, 0.4, 40), rng.uniform(0.6, 1.0, 40))))
     y_gap = np.sin(6.0 * gap) + rng.normal(0.0, 0.05, gap.size)
     for lam in (1e-4, 1e-8, 1e-12):
@@ -526,6 +546,42 @@ def test_bands_and_flags_never_build_a_dense_basis(noisy_model, linear_model, mo
     with pytest.raises(AssertionError, match="dense"):
         eval_basis(model.knot_vector, epochs).values
     assert outputs() == want
+
+
+def _counted_inversions(monkeypatch) -> list:
+    """The shapes of every np.linalg.inv call from now on."""
+    calls, inv = [], np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+    return calls
+
+
+def test_fit_save_and_load_invert_nothing(tmp_path, monkeypatch):
+    calls = _counted_inversions(monkeypatch)
+    series, _ = gramacy_lee_series(n=40, noise_sd=0.1, seed=2)
+    core.save_model(core.fit(series), tmp_path / "model.json")
+    core.load_model(tmp_path / "model.json")
+    assert calls == []
+
+
+def test_the_first_band_inverts_the_factor_and_later_ones_reuse_it(noisy_model, monkeypatch):
+    series, model = noisy_model
+    fresh = dataclasses.replace(model)  # a model no band has read yet
+    calls = _counted_inversions(monkeypatch)
+    epochs = np.linspace(*fresh.domain, 50)
+    core.predict(fresh, epochs)
+    core.predict_derivative(fresh, epochs)
+    outliers._flag(fresh, series, outliers.DEFAULT_THRESHOLD1)
+    c = fresh.knot_vector.n_bases
+    assert calls == [(c, c)]
+    assert fresh.inverse_factor.tobytes() == model.inverse_factor.tobytes()
+
+
+def test_the_model_holds_only_what_its_document_stores(noisy_model):
+    fields = [f.name for f in dataclasses.fields(core.AlpsModel)]
+    assert "p" not in fields and "inverse_factor" not in fields
+    model = noisy_model[1]
+    for m in (model, core.model_from_dict(core.model_to_dict(model))):
+        assert m.p == m.knot_vector.p == 4
 
 
 class TestSerialization:

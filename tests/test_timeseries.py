@@ -28,6 +28,11 @@ class TestTimeSeries:
         with pytest.raises(InvalidInputError):
             TimeSeries(np.array([0.0, 1.0]), np.array([1.0, 2.0]), sigma=np.array([0.1]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_sigma_must_be_finite_and_not_negative(self, bad):
+        with pytest.raises(InvalidInputError, match="sigma must be finite and >= 0"):
+            TimeSeries(np.array([0.0, 1.0]), np.array([1.0, 2.0]), sigma=np.array([0.1, bad]))
+
 
 class TestReadTimeseries:
     def test_two_row_file(self, tmp_path):
