@@ -67,6 +67,11 @@ class BasisMatrix:
         out[rows, self.first[:, None] + np.arange(self.local.shape[0])] = self.local.T
         return out
 
+    def dot(self, theta: np.ndarray) -> np.ndarray:
+        """B theta: each epoch's p + 1 local products, summed in order."""
+        cols = self.first + np.arange(self.local.shape[0])[:, None]
+        return np.add.reduce(self.local * theta[cols], axis=0)
+
     def at(self, rows) -> BasisMatrix:
         """The basis at the epochs indexed by ``rows``."""
         return BasisMatrix(self.epochs[rows], self.first[rows], self.local[:, rows], self.n_bases)

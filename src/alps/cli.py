@@ -107,8 +107,12 @@ def fit_cmd(data, model_out, batch, out_dir, **fit_flags):
     if batch:
         if out_dir is None:
             raise ConfigError("--batch requires --out-dir")
+        if model_out is not None:
+            raise ConfigError("--model-out is for one file; --batch writes to --out-dir")
         _run_batch_fit(Path(data), Path(out_dir), config)
         return
+    if out_dir is not None:
+        raise ConfigError("--out-dir needs --batch; one file's model goes to --model-out")
     series = read_timeseries(data)
     model = core.fit(series, config)
     if model_out:

@@ -185,10 +185,6 @@ def fit(data: TimeSeries, config: FitConfig = FitConfig()) -> AlpsModel:
     distinct = np.unique(times).size
     if distinct < max(2, q):
         raise InsufficientDataError(f"need max(2, q) = {max(2, q)} distinct epochs, got {distinct}")
-    # y'y enters every GCV score: past the float range none is usable.
-    with np.errstate(over="ignore"):
-        if not np.isfinite(y @ y):
-            raise InvalidInputError("the sum of squared values overflows; rescale the series")
 
     def scan(ms):
         """Rows (m, lambda_hat, cost), from one lambda search over all ms;
@@ -250,21 +246,20 @@ _BAND_BLOCK = 1 << 16
 def _mean_and_quad(model: AlpsModel, B: BasisMatrix):
     """Fitted values at the epochs of basis ``B`` and, per epoch's basis
     row b, the fit-variance quadratic form b'A^{-1}b = ||Wb||^2,
-    W = L^{-1} for A = LL'. Both read B's local values only: the mean sums
-    p + 1 products; Wb sums the p + 1 columns of W that b weights, for
-    blocks of at most ``_BAND_BLOCK`` entries, each epoch's bit for bit the
-    same in any block."""
+    W = L^{-1} for A = LL'. Both read B's local values only: the mean is
+    ``B.dot``, as for the refit's fitted values; Wb sums the p + 1 columns
+    of W that b weights, for blocks of at most ``_BAND_BLOCK`` entries,
+    each epoch's bit for bit the same in any block."""
     first, values = B.first, B.local
-    cols = first + np.arange(values.shape[0])[:, None]
-    mean = np.add.reduce(values * model.theta[cols], axis=0)
+    mean = B.dot(model.theta)
     columns = model.inverse_factor.T  # row j is W's column j
     n = first.size
     quad, per = np.empty(n), max(1, _BAND_BLOCK // columns.shape[1])
     for lo in range(0, n, per):
         block = slice(lo, lo + per)
-        x = columns[cols[0, block]] * values[0, block, None]
+        x = columns[first[block]] * values[0, block, None]
         for k in range(1, values.shape[0]):
-            x += columns[cols[k, block]] * values[k, block, None]
+            x += columns[first[block] + k] * values[k, block, None]
         quad[block] = np.einsum("ij,ij->i", x, x)
     return mean, quad
 

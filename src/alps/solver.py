@@ -3,16 +3,17 @@ search.
 
 A design is a ``BasisMatrix`` of degree p, so the normal matrix
 ``A = B'B + lam D'D`` has bandwidth p. It is only ever held as its p + 1
-lower diagonals (``_normal_band``) and factored by the banded Cholesky
-``dpbtrf``; there is no explicit inverse. The lambda search runs in two
-phases. First each design is diagonalized once in data space
-(``gcv_profile``): rows at one epoch are merged, so a design of r distinct
-epochs and c columns costs one banded factor and one standard ``eigh`` of
-size min(r, c), after which a GCV cost is O(min(r, c)) arithmetic on the
-eigenvalues. Then ``search_lambda`` scores a whole stack
-of profiles in lock-step as arrays: every grid point of every row, then the
-golden-section steps of all rows together. ``minimize_gcv_lambda`` runs
-both phases on an iterable of designs and returns arrays.
+lower diagonals (``_normal_band``), built from the design's rows merged by
+epoch (``_distinct_rows``: r rows for r distinct epochs, never n), and
+factored by the banded Cholesky ``dpbtrf``; there is no explicit inverse.
+The lambda search runs in two phases. First each design is diagonalized
+once in data space (``gcv_profile``): a design of c columns costs one
+banded factor and one standard ``eigh`` of size min(r, c), after which a
+GCV cost is O(min(r, c)) arithmetic on the eigenvalues. Then
+``search_lambda`` scores a whole stack of profiles in lock-step as arrays:
+every grid point of every row, then the golden-section steps of all rows
+together. ``minimize_gcv_lambda`` runs both phases on an iterable of
+designs; ``fit_penalized`` solves the system it scored.
 """
 
 from __future__ import annotations
@@ -106,46 +107,55 @@ def _factorize(band: np.ndarray):
     return L, True
 
 
-def _check_support(Bv: np.ndarray) -> None:
-    """Without a penalty, a basis function with no data support makes the
-    normal matrix exactly singular; name the offending index range."""
-    dead = np.flatnonzero(~np.any(Bv != 0.0, axis=0))
-    if dead.size:
-        raise RankDeficiencyError(
-            f"basis functions {dead.min()}..{dead.max()} have empty data support "
-            "and zero penalty; increase lambda or reduce the section count"
-        )
+def _sum_of_squares(y: np.ndarray) -> float:
+    """y'y, which enters every GCV score and the refit's sigma2; an
+    InvalidInputError where y is not finite or y'y is past the float range,
+    which leaves no usable score."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        yy = float(y @ y)
+    if not math.isfinite(yy):
+        if not np.all(np.isfinite(y)):
+            raise InvalidInputError("y must be finite")
+        raise InvalidInputError("the sum of squared values overflows; rescale the series")
+    return yy
 
 
 def fit_penalized(B, y, q: int, lam: float) -> FitResult:
     """Minimize ||y - B theta||^2 + lam ||D_q theta||^2 for a ``BasisMatrix``
-    B, whose local values give its degree p.
-
-    Also evaluates the residual degrees of freedom and the unbiased error
-    variance on the c x c scale (no n x n smoother matrix is formed).
+    B, whose local values give its degree p, from its rows merged by epoch;
+    its fitted values are ``B.dot``, a band's mean. Also evaluates the
+    residual degrees of freedom and the unbiased error variance on the
+    c x c scale (no n x n smoother matrix is formed).
     """
     import scipy.linalg
 
-    p, Bv = _degree(B), B.values
+    p, n, c = _degree(B), B.first.size, B.n_bases
     y = np.asarray(y, dtype=float)
-    n, c = Bv.shape
     if y.shape != (n,):
         raise InvalidInputError(f"y must have length {n}, got {y.shape}")
     if not (math.isfinite(lam) and lam >= 0):
         raise InvalidInputError(f"smoothing parameter must be finite and >= 0, got {lam}")
-    # With q < c every column of D_q is nonzero: only lam = 0 leaves one unpinned.
-    if lam == 0:
-        _check_support(Bv)
+    _sum_of_squares(y)
+    merge, ys = _distinct_rows(B.epochs, y)
+    Bu = merge(B)
     with blas_threads_for(c):
-        G = Bv.T @ Bv
+        G = Bu.T @ Bu
+        # With q < c every column of D_q is nonzero: only lam = 0 leaves
+        # one unpinned, a column of B_u without data (zero on G's diagonal).
+        dead = np.flatnonzero(np.diagonal(G) == 0.0)
+        if lam == 0 and dead.size:
+            raise RankDeficiencyError(
+                f"basis functions {dead.min()}..{dead.max()} have empty data support "
+                "and zero penalty; increase lambda or reduce the section count"
+            )
         L, ridged = _factorize(_normal_band(G, p, q, lam))
         solve = functools.partial(scipy.linalg.lapack.dpbtrs, L, lower=1)
-        theta = solve(Bv.T @ y)[0]
-        resid = y - Bv @ theta
-        rss = float(resid @ resid)
+        theta = solve(Bu.T @ ys)[0]
         M = solve(G)[0]  # A^{-1} B'B: its trace is tr(H)
         tr_h = float(np.trace(M))
         tr_hh = float(np.sum(M * M.T))
+    resid = y - B.dot(theta)
+    rss = float(resid @ resid)
     df_res = n - 2.0 * tr_h + tr_hh
     sigma2 = rss / df_res if df_res > 0 else float("nan")
     return FitResult(
@@ -355,8 +365,9 @@ def minimize_gcv_lambda(designs, y, q: int, grid: LambdaGrid = LambdaGrid()):
     where every candidate is degenerate; deterministic for fixed inputs,
     and each entry equals the search on that design alone. A None design
     (``basis.scan_bases``' degenerate knots) scores as a pencil that is not
-    definite. A design of any other type, or a bare ``BasisMatrix`` in place
-    of the iterable, is an InvalidInputError.
+    definite. A design of any other type, a bare ``BasisMatrix`` in place
+    of the iterable, or a y that ``_sum_of_squares`` rejects (checked before
+    any design is drawn), is an InvalidInputError.
 
     Each design is diagonalized in its own BLAS scope and dropped before the
     next is drawn, then ``search_lambda`` searches all of them together. A
@@ -370,7 +381,7 @@ def minimize_gcv_lambda(designs, y, q: int, grid: LambdaGrid = LambdaGrid()):
     if isinstance(designs, BasisMatrix):
         raise InvalidInputError("designs must be an iterable of BasisMatrix; pass [B] for one")
     y = np.asarray(y, dtype=float)
-    yy, profiles, epochs = float(y @ y), [], None
+    yy, profiles, epochs = _sum_of_squares(y), [], None
     for design in designs:
         if design is None:
             profiles.append(GcvProfile(None))

@@ -216,6 +216,24 @@ class TestFitPredict:
         result = run("fit", tmp_path, "--batch")
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("mode, match", [
+        (["--out-dir", "models"], "--out-dir needs --batch"),
+        (["--batch", "--out-dir", "models", "--model-out", "m.json"], "--model-out"),
+    ])
+    def test_the_other_modes_output_is_a_config_error(self, gl_data, tmp_path,
+                                                       monkeypatch, mode, match):
+        # Before any file is read: a single-file fit takes no --out-dir and
+        # a batch no --model-out, which it would otherwise ignore.
+        data = gl_data[0] if "--batch" not in mode else gl_data[0].parent
+        reads = []
+        monkeypatch.setattr("alps.cli.read_timeseries", reads.append)
+        monkeypatch.chdir(tmp_path)
+        result = run("fit", data, *mode)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ConfigError: ") and match in result.stderr
+        assert reads == []
+        assert not (tmp_path / "models").exists() and not (tmp_path / "m.json").exists()
+
 
 class TestOutliersCommand:
     def test_flags_written(self, tmp_path):

@@ -548,6 +548,38 @@ def test_bands_and_flags_never_build_a_dense_basis(noisy_model, linear_model, mo
     assert outputs() == want
 
 
+def test_a_fit_builds_dense_rows_at_distinct_epochs_only(monkeypatch):
+    # Campaign dates repeated three times, a sparse tail and one spike that
+    # the outlier pass flags: the scan and every refit merge rows by epoch
+    # first, so no dense design has more than one row per distinct epoch.
+    rng = np.random.default_rng(8)
+    t = np.concatenate((np.repeat(np.sort(rng.uniform(2003.0, 2009.0, 20)), 3),
+                        np.sort(rng.uniform(2010.0, 2015.0, 8))))
+    y = np.sin(t) + rng.normal(0.0, 0.1, t.size)
+    y[30] += 3.0
+    rows, values = [], BasisMatrix.values
+    monkeypatch.setattr(BasisMatrix, "values",
+                        property(lambda B: rows.append(B.first.size) or values.fget(B)))
+    report = outliers.detect_and_refit(TimeSeries(t, y))
+    assert 30 in report.level1_indices + report.level2_indices
+    assert rows and max(rows) <= np.unique(t).size == 28 < t.size
+
+
+@pytest.mark.parametrize("case", ["gramacy-lee 0", "gramacy-lee 1", "repeated epochs"])
+def test_sigma2_is_the_band_mean_residual_over_df_res(case):
+    # The refit's fitted values are the band's mean, bit for bit.
+    if case == "repeated epochs":
+        rng = np.random.default_rng(0)
+        t = np.concatenate((np.repeat(np.sort(rng.uniform(2003.0, 2009.0, 12)), 3),
+                            np.sort(rng.uniform(2010.0, 2015.0, 6))))
+        series = TimeSeries(t, np.sin(t) + rng.normal(0.0, 0.1, t.size))
+    else:
+        series, _ = gramacy_lee_series(n=40, noise_sd=0.1, seed=int(case[-1]))
+    model = core.fit(series)
+    r = series.values - core.predict(model, series.times).mean
+    assert model.sigma2 == float(r @ r) / model.df_res
+
+
 def _counted_inversions(monkeypatch) -> list:
     """The shapes of every np.linalg.inv call from now on."""
     calls, inv = [], np.linalg.inv

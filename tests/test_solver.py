@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -40,8 +42,6 @@ def normal_equations_oracle(Bv, y, q, lam):
 def smoother_matrix(B, q, lam):
     """n x n matrix H mapping observations to fitted values."""
     Bv = B.values
-    if lam == 0:
-        solver._check_support(Bv)
     cho = scipy.linalg.cho_factor(Bv.T @ Bv + penalty(q, Bv.shape[1], lam), lower=True)
     return Bv @ scipy.linalg.cho_solve(cho, Bv.T)
 
@@ -82,6 +82,16 @@ def error_variance(y, B, theta, df_res):
     Bv = np.asarray(getattr(B, "values", B), dtype=float)
     resid = np.asarray(y, dtype=float) - Bv @ np.asarray(theta, dtype=float)
     return float(resid @ resid) / df_res
+
+
+# One entry of y replaced: not finite, or finite with y'y past the float range.
+BAD_Y = [(np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"), (1e200, "overflows")]
+
+
+def _with_bad_entry(y, bad):
+    y = np.array(y, dtype=float)
+    y[7] = bad
+    return y
 
 
 class TestFitPenalized:
@@ -138,6 +148,14 @@ class TestFitPenalized:
         times, kv, B = uniform_design()
         with pytest.raises(InvalidInputError, match="smoothing parameter"):
             fit_penalized(B, np.zeros(len(times)), 2, lam)
+
+    @pytest.mark.parametrize("bad, match", BAD_Y)
+    def test_y_not_finite_or_overflowing_is_invalid_input(self, bad, match):
+        times, kv, B = uniform_design()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=match):
+                fit_penalized(B, _with_bad_entry(np.sin(times), bad), 2, 1.0)
 
     def test_a_failed_factor_is_retried_once_with_a_ridge(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -283,6 +301,19 @@ class TestMinimizeGcvLambda:
         B = eval_basis(kv, times)
         (lam,), (cost,) = minimize_gcv_lambda([B], np.array([0.0, 1.0]), q=2)
         assert np.isnan(lam) and cost == np.inf
+
+    @pytest.mark.parametrize("bad, match", BAD_Y)
+    def test_y_not_finite_or_overflowing_raises_before_any_design(self, bad, match):
+        times, kv, B = uniform_design()
+        drawn = []
+
+        def designs():
+            drawn.append(B)
+            yield B
+
+        with pytest.raises(InvalidInputError, match=match):
+            minimize_gcv_lambda(designs(), _with_bad_entry(np.sin(times), bad), 2)
+        assert not drawn
 
     def test_deterministic(self):
         rng = np.random.default_rng(33)
