@@ -143,6 +143,9 @@ def _knot_rows(unique: np.ndarray, ms: np.ndarray, p: int, placement: str):
 
 def _check_domain(kv: KnotVector, epochs: np.ndarray) -> None:
     lo, hi = kv.domain
+    # One min and one max clear an in-domain array; a NaN fails both.
+    if epochs.size and lo <= epochs.min() and epochs.max() <= hi:
+        return
     bad = ~((epochs >= lo) & (epochs <= hi))  # NaN too
     if np.any(bad):
         offenders = np.asarray(epochs)[bad]
@@ -151,61 +154,61 @@ def _check_domain(kv: KnotVector, epochs: np.ndarray) -> None:
         )
 
 
-def _term(num, den, lower: np.ndarray) -> np.ndarray:
-    """num/den (0 where den <= 0) times the lower-degree values, exactly 0
-    where those are 0: knots a subnormal distance apart overflow the ratio
-    to inf, and inf * 0 would be NaN. Callers ignore the warnings."""
-    return np.where((lower == 0.0) | ~(den > 0), 0.0, num / den * lower)
-
-
-def _local_values(knots: np.ndarray, p: int, hi: float, t: np.ndarray, degree: int):
+def _local_values(knots: np.ndarray, p: int, hi: float, t: np.ndarray, derivative: bool = False):
     """For each knot vector (rows of ``knots``, domain end ``hi``) and each
-    epoch, one column per pair, knot vector by knot vector: the degree+1
-    functions that may be nonzero there, between two zero rows, by the
-    two-term recursion restricted to them (so bit for bit the full
-    recursion's values); the index of the first; the knots around each
-    span. Pairs run along the last axis, so every step works on contiguous
+    epoch, one column per pair, knot vector by knot vector: the p + 1
+    degree-p functions (or, with ``derivative``, their first derivatives)
+    that may be nonzero there, by the two-term recursion restricted to them
+    (so bit for bit the full recursion's values); and the index of the
+    first. Pairs run along the last axis, so every step works on contiguous
     rows. An epoch at the domain's right end falls in the last
     positive-length span ending there: the recursion then yields the left
     limit, the closed-span value."""
-    span = np.concatenate([np.searchsorted(row, t, side="right") for row in knots]) - 1
-    last = np.array([np.searchsorted(row, hi, side="left") for row in knots]) - 1
+    # Knots from hi on search as +inf, so an epoch at hi lands in the last
+    # span below it and every other epoch in the span that holds it.
+    below = np.where(knots < hi, knots, np.inf)
+    span = np.concatenate([np.searchsorted(row, t, side="right") for row in below]) - 1
     tc = np.tile(t, len(knots))
-    span = np.where(tc == hi, np.repeat(last, t.size), span)
     # Row p + k: knot span + k, in the pair's own knot vector.
     at = np.repeat(np.arange(len(knots)) * knots.shape[1], t.size) + span
     near = knots.ravel()[at + np.arange(-p, p + 2)[:, None]]
-    values = np.zeros((degree + 3, span.size))
+    # Rising numerators t - knots[j] (j <= span) and falling ones
+    # knots[j] - t (j > span), each computed once for every degree.
+    rise, fall = tc - near[: p + 1], near[p + 1 :] - tc
+    values = np.zeros((p + 3, span.size))
     values[1] = 1.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for d in range(1, degree + 1):
-            # Functions j = span-d..span: knots j, j+d, then j+1, j+d+1.
+        for d in range(1, p + 1):
+            # Functions j = span-d..span from the degree d - 1 values of
+            # j = span-d..span+1 (between two zero rows) and their knot
+            # gaps knots[j + d] - knots[j]: function j's rising term and
+            # function j - 1's falling term divide by gap j. A term is
+            # exactly 0 where its value is 0 or its gap is not positive:
+            # knots a subnormal distance apart overflow the ratio to inf,
+            # and inf * 0 would be NaN.
             lower = values[: d + 2]
-            lo, up = near[p - d : p + 1], near[p : p + d + 1]
-            rising = _term(tc - lo, up - lo, lower[:-1])
-            lo, up = near[p - d + 1 : p + 2], near[p + 1 : p + d + 2]
-            values[1 : d + 2] = rising + _term(up - tc, up - lo, lower[1:])
-    return span - degree, values, near
+            gap = near[p : p + d + 2] - near[p - d : p + 2]
+            keep = (lower != 0.0) & (gap > 0)
+            if derivative and d == p:
+                # d/dt of the last step: p / gap in place of each ratio.
+                term = np.where(keep, p / gap * lower, 0.0)
+                return span - p, term[:-1] - term[1:]
+            np.add(np.where(keep[:-1], rise[p - d :] / gap[:-1] * lower[:-1], 0.0),
+                   np.where(keep[1:], fall[: d + 1] / gap[1:] * lower[1:], 0.0),
+                   out=values[1 : d + 2])
+    return span - p, values[1:-1]
 
 
 def eval_basis(kv: KnotVector, epochs, derivative: bool = False) -> BasisMatrix:
     """All ``c = m + p`` degree-p basis functions (or, with ``derivative``,
     their first derivatives) at the epochs. Derivative terms whose
     knot-span denominator vanishes are 0."""
-    p = kv.p
-    if derivative and p < 1:
+    if derivative and kv.p < 1:
         raise InvalidInputError("derivative needs degree p >= 1")
     t = np.atleast_1d(np.asarray(epochs, dtype=float))
     _check_domain(kv, t)
-    degree = p - 1 if derivative else p
-    first, lower, near = _local_values(kv.knots[None], p, kv.domain[1], t, degree)
-    if not derivative:
-        return BasisMatrix(t, first, lower[1:-1], kv.n_bases)
-    # Functions i = first-1..first+p-1: knots i, i+p, then i+1, i+p+1.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        values = (_term(p, near[p : 2 * p + 1] - near[: p + 1], lower[:-1])
-                  - _term(p, near[p + 1 :] - near[1 : p + 2], lower[1:]))
-    return BasisMatrix(t, first - 1, values, kv.n_bases)
+    first, local = _local_values(kv.knots[None], kv.p, kv.domain[1], t, derivative)
+    return BasisMatrix(t, first, local, kv.n_bases)
 
 
 def eval_basis_derivative(kv: KnotVector, epochs) -> BasisMatrix:
@@ -231,10 +234,10 @@ def scan_bases(times: np.ndarray, ms, p: int, placement: str):
     for block in (ms[i : i + per] for i in range(0, ms.size, per)):
         knots, ok = _knot_rows(unique, block, p, placement)
         if ok.any():
-            first, values, _ = _local_values(knots[ok], p, unique[-1], times, p)
+            first, values = _local_values(knots[ok], p, unique[-1], times)
         for m, good, r in zip(block.tolist(), ok.tolist(), (np.cumsum(ok) - 1).tolist()):
             if not good:
                 yield None
                 continue
             pairs = slice(r * times.size, (r + 1) * times.size)
-            yield BasisMatrix(times, first[pairs], values[1:-1, pairs], m + p)
+            yield BasisMatrix(times, first[pairs], values[:, pairs], m + p)

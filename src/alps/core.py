@@ -135,8 +135,11 @@ class AlpsModel:
     def inverse_factor(self) -> np.ndarray:
         c = self.factor_diagonals[0].size
         upper = np.zeros((c, c))  # L'
+        # L'[i, i + k] is flat entry i(c + 1) + k: each diagonal is a basic
+        # strided slice, which assigns without building an index array.
+        flat = upper.ravel()
         for k, diagonal in enumerate(self.factor_diagonals):
-            upper[np.arange(c - k), np.arange(k, c)] = diagonal
+            flat[k :: c + 1][: c - k] = diagonal
         with blas_threads_for(c):
             # inv(L') = W', so W comes out Fortran-ordered: its columns,
             # which bands gather, are contiguous.
@@ -238,8 +241,8 @@ def _select(rows):
     return rows[best_columns(np.array([costs]), np.array([ms], dtype=float), -1)[0]]
 
 
-# Most entries (basis functions x epochs) of one block of a band's
-# gathered columns: 512 kB, however many epochs the band covers.
+# Most entries (p + 1 gathered columns of c entries, times epochs) of one
+# block of a band: 512 kB, however many epochs the band covers.
 _BAND_BLOCK = 1 << 16
 
 
@@ -247,19 +250,19 @@ def _mean_and_quad(model: AlpsModel, B: BasisMatrix):
     """Fitted values at the epochs of basis ``B`` and, per epoch's basis
     row b, the fit-variance quadratic form b'A^{-1}b = ||Wb||^2,
     W = L^{-1} for A = LL'. Both read B's local values only: the mean is
-    ``B.dot``, as for the refit's fitted values; Wb sums the p + 1 columns
-    of W that b weights, for blocks of at most ``_BAND_BLOCK`` entries,
-    each epoch's bit for bit the same in any block."""
+    ``B.dot``, as for the refit's fitted values; Wb is one einsum over the
+    p + 1 columns of W that b weights, summed in order, for blocks of at
+    most ``_BAND_BLOCK`` gathered entries, each epoch's bit for bit the
+    same in any block."""
     first, values = B.first, B.local
     mean = B.dot(model.theta)
     columns = model.inverse_factor.T  # row j is W's column j
-    n = first.size
-    quad, per = np.empty(n), max(1, _BAND_BLOCK // columns.shape[1])
-    for lo in range(0, n, per):
+    k = np.arange(values.shape[0])
+    quad, per = np.empty(first.size), max(1, _BAND_BLOCK // (columns.shape[1] * k.size))
+    for lo in range(0, first.size, per):
         block = slice(lo, lo + per)
-        x = columns[first[block]] * values[0, block, None]
-        for k in range(1, values.shape[0]):
-            x += columns[first[block] + k] * values[k, block, None]
+        x = np.einsum("ekc,ke->ec", np.take(columns, first[block, None] + k, axis=0),
+                      values[:, block])
         quad[block] = np.einsum("ij,ij->i", x, x)
     return mean, quad
 

@@ -366,8 +366,9 @@ def minimize_gcv_lambda(designs, y, q: int, grid: LambdaGrid = LambdaGrid()):
     and each entry equals the search on that design alone. A None design
     (``basis.scan_bases``' degenerate knots) scores as a pencil that is not
     definite. A design of any other type, a bare ``BasisMatrix`` in place
-    of the iterable, or a y that ``_sum_of_squares`` rejects (checked before
-    any design is drawn), is an InvalidInputError.
+    of the iterable, a y that is not 1-D or that ``_sum_of_squares`` rejects
+    (checked before any design is drawn), or a design whose epoch count is
+    not y's length, is an InvalidInputError.
 
     Each design is diagonalized in its own BLAS scope and dropped before the
     next is drawn, then ``search_lambda`` searches all of them together. A
@@ -381,6 +382,8 @@ def minimize_gcv_lambda(designs, y, q: int, grid: LambdaGrid = LambdaGrid()):
     if isinstance(designs, BasisMatrix):
         raise InvalidInputError("designs must be an iterable of BasisMatrix; pass [B] for one")
     y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise InvalidInputError(f"y must have length N, one value per epoch, got {y.shape}")
     yy, profiles, epochs = _sum_of_squares(y), [], None
     for design in designs:
         if design is None:
@@ -388,6 +391,9 @@ def minimize_gcv_lambda(designs, y, q: int, grid: LambdaGrid = LambdaGrid()):
             continue
         p = _degree(design)
         if design.epochs is not epochs:
+            if design.epochs.size != y.size:
+                raise InvalidInputError(
+                    f"y must have length {design.epochs.size}, got {y.shape}")
             epochs, (merge, ys) = design.epochs, _distinct_rows(design.epochs, y)
         Bu = merge(design)
         with blas_threads_for(Bu.shape[1]):

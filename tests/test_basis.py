@@ -287,6 +287,8 @@ def rounded_epoch_setup(draw):
 @given(rounded_epoch_setup())
 @example((SUBNORMAL_GAP_1[0], SUBNORMAL_GAP_1[1], SUBNORMAL_GAP_1[2], "quantile", [0.5]))
 @example((SUBNORMAL_GAP_2[0], SUBNORMAL_GAP_2[1], SUBNORMAL_GAP_2[2], "quantile", [1.0]))
+# t = 0.5: the ratio over the subnormal gap overflows to inf where the lower-degree value is 0.
+@example((SUBNORMAL_GAP_2[0], SUBNORMAL_GAP_2[1], SUBNORMAL_GAP_2[2], "quantile", [0.1]))
 def test_local_evaluation_is_byte_equal_to_the_dense_recursion(setup):
     times, m, p, placement, fracs = setup
     try:

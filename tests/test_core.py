@@ -499,6 +499,26 @@ def test_bands_match_dense_oracle_in_any_block(name, monkeypatch):
         monkeypatch.undo()
 
 
+def _column_by_column_quad(model, B):
+    """||Wb||^2 with Wb summed one gathered column of W at a time, k = 0..p
+    in order: the oracle for the one einsum that gathers them."""
+    columns = model.inverse_factor.T
+    x = columns[B.first] * B.local[0, :, None]
+    for k in range(1, B.local.shape[0]):
+        x += columns[B.first + k] * B.local[k, :, None]
+    return np.einsum("ij,ij->i", x, x)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("evaluate", [eval_basis, eval_basis_derivative])
+def test_the_gathered_columns_sum_in_order(p, evaluate):
+    model = _BAND_CASES[f"p{p}q1"]
+    per = core._BAND_BLOCK // (model.knot_vector.n_bases * (p + 1))
+    B = evaluate(model.knot_vector, np.linspace(*model.domain, 3 * per + 7))
+    _, quad = core._mean_and_quad(model, B)
+    assert quad.tobytes() == _column_by_column_quad(model, B).tobytes()
+
+
 def test_bands_above_the_one_thread_limit(tmp_path):
     # c = 904 > ONE_THREAD_MAX_BASES: W is inverted on the caller's threads.
     rng = np.random.default_rng(12)

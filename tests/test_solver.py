@@ -315,6 +315,12 @@ class TestMinimizeGcvLambda:
             minimize_gcv_lambda(designs(), _with_bad_entry(np.sin(times), bad), 2)
         assert not drawn
 
+    @pytest.mark.parametrize("y", [np.zeros(39), np.zeros((40, 1))], ids=["39 values", "(40, 1)"])
+    def test_y_not_one_value_per_epoch_is_invalid_input(self, y):
+        times, kv, B = uniform_design(n=40)
+        with pytest.raises(InvalidInputError, match="y must have length"):
+            minimize_gcv_lambda([B], y, 2)
+
     def test_deterministic(self):
         rng = np.random.default_rng(33)
         times, kv, B = uniform_design(n=45, m=9, p=4)
