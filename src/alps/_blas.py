@@ -1,12 +1,14 @@
-"""One BLAS thread for the library's small systems, scoped and restored.
+"""One BLAS thread for the solver's small systems, scoped and restored.
 
 A fit makes hundreds of Gram products, Cholesky factors and ``eigh``
-calls, one set per section count, on systems of at most c x c. While c is small, OpenBLAS's hand-off
-to its worker threads costs more than the extra threads save; for large c
-the threads pay off. ``blas_threads_for(c)`` gives a scope that sets every
-OpenBLAS loaded in the process to one thread for systems of at most
-``ONE_THREAD_MAX_BASES`` basis functions, and changes nothing for larger
-ones. Each library gets back the count it had when the last open scope
+calls, one set per section count, on systems of at most c x c. While c is
+small, OpenBLAS's hand-off to its worker threads costs more than the extra
+threads save; for large c the threads pay off. ``blas_threads_for(c)``
+gives a scope that sets every OpenBLAS loaded in the process to one thread
+for systems of at most ``ONE_THREAD_MAX_BASES`` basis functions, and
+changes nothing for larger ones. Only the solver opens it, around each
+design's profile and the refit; a model's bands run on the caller's
+threads. Each library gets back the count it had when the last open scope
 ends, also when the wrapped code raises. The count is process-wide, so
 other threads of the caller run BLAS on one thread too while such a scope
 is open.
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import sys
 import threading
 
 # (get, set) symbol pairs: NumPy's 64-bit-integer copy, SciPy's copy, and a
@@ -62,18 +63,14 @@ class OneBlasThread:
 
     The outermost entry in the process saves each library's thread count
     and sets it to 1; the last exit restores the saved counts. Libraries
-    are looked up when the first scope opens, and again at an outermost
-    entry after a module was imported since the last lookup: only an import
-    maps a new OpenBLAS (SciPy's own copy is loaded on a fit's first use),
-    and reading the memory map at every entry would cost more than a small
-    system's solve. A library mapped inside an open scope is set at the
-    next outermost entry.
+    are looked up once, at the first entry: every scope is opened by the
+    solver after it has imported ``scipy.linalg``, so NumPy's and SciPy's
+    copies are both mapped by then.
     """
 
     def __init__(self, find=find_openblas):
         self._find = find
-        self._libs = ()
-        self._modules = -1  # len(sys.modules) at the last lookup
+        self._libs = None
         self._saved = ()
         self._depth = 0
         self._lock = threading.Lock()
@@ -81,8 +78,7 @@ class OneBlasThread:
     def __enter__(self):
         with self._lock:
             if self._depth == 0:
-                if len(sys.modules) != self._modules:
-                    self._modules = len(sys.modules)
+                if self._libs is None:
                     self._libs = self._find()
                 self._saved = tuple(get() for get, _ in self._libs)
                 for _, set_ in self._libs:

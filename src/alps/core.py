@@ -7,8 +7,9 @@ each epoch's p + 1 local values, to one lambda search, which diagonalizes
 each in turn and then scores all of them in lock-step. It keeps the
 configuration with the smallest GCV cost, preferring fewer sections on
 ties. The refit at the winning configuration keeps the p + 1 diagonals of
-its Cholesky factor L; a model's first band inverts L and later bands
-reuse that inverse, so bands at new epochs never re-solve the fit.
+its Cholesky factor L; a model's first band inverts L, on the caller's BLAS
+threads, and later bands reuse that inverse, so bands at new epochs never
+re-solve the fit.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _student_t
-from ._blas import blas_threads_for
 from .basis import (
     PLACEMENTS,
     BasisMatrix,
@@ -140,10 +140,9 @@ class AlpsModel:
         flat = upper.ravel()
         for k, diagonal in enumerate(self.factor_diagonals):
             flat[k :: c + 1][: c - k] = diagonal
-        with blas_threads_for(c):
-            # inv(L') = W', so W comes out Fortran-ordered: its columns,
-            # which bands gather, are contiguous.
-            return np.linalg.inv(upper).T
+        # inv(L') = W', so W comes out Fortran-ordered: its columns, which
+        # bands gather, are contiguous. It runs on the caller's BLAS threads.
+        return np.linalg.inv(upper).T
 
     @property
     def p(self) -> int:

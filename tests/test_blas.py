@@ -1,6 +1,6 @@
-"""The library's small systems run on one BLAS thread, larger ones on the
-caller's count, and every call gives the caller's OpenBLAS thread counts
-back when it returns or raises."""
+"""The solver's small systems run on one BLAS thread, larger ones on the
+caller's count, bands on the caller's count, and every call gives the
+caller's OpenBLAS thread counts back when it returns or raises."""
 
 import ctypes
 import json
@@ -10,6 +10,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.linalg
 
@@ -119,9 +120,11 @@ def test_larger_systems_keep_the_callers_count(monkeypatch, series, two_threads)
     assert counts() == two_threads
 
 
-# Loads a model and predicts, which opens the first scope while SciPy is
-# not loaded, then fits with every OpenBLAS mapped by then at 2 threads;
-# prints the counts read inside each eigh of the lambda search and after.
+# Loads a model and predicts, which loads no SciPy and opens no scope, then
+# fits with every OpenBLAS mapped by then at 2 threads; prints the counts
+# read inside each eigh of the lambda search and after. The scope looks its
+# libraries up once, at its first entry, so a predict before the first fit
+# must not make that lookup miss SciPy's copy.
 _LOAD_PREDICT_FIT = """
 import ctypes, json, sys
 import numpy as np
@@ -179,6 +182,52 @@ def test_libraries_mapped_after_the_first_scope_are_set(tmp_path, series, model)
     assert len(seen["inside"]) == len(series) - 1
     assert all(set(counts) == {1} for counts in seen["inside"])
     assert seen["after"] == seen["start"]
+
+
+def test_bands_of_a_loaded_model_open_no_scope(monkeypatch, tmp_path, model):
+    core.save_model(model, tmp_path / "model.json")
+    loaded = core.load_model(tmp_path / "model.json")
+    entries = []
+    enter = OneBlasThread.__enter__
+
+    def spy(self):
+        entries.append(1)
+        return enter(self)
+
+    monkeypatch.setattr(OneBlasThread, "__enter__", spy)
+    epochs = np.linspace(*loaded.domain, 50)
+    core.predict(loaded, epochs)
+    core.predict_derivative(loaded, epochs)
+    assert entries == []
+
+
+# Fits a Gramacy-Lee series and hashes its document and its value and rate
+# bands at 500 epochs. Every solve runs in the one-thread scope and c is far
+# below the size where OpenBLAS's inversion depends on its thread count.
+_FIT_AND_BAND = """
+import hashlib, json
+import numpy as np
+from alps import core, synth
+
+model = core.fit(synth.gramacy_lee_series(n=90)[0])
+epochs = np.linspace(*model.domain, 500)
+bands = b"".join(getattr(fn(model, epochs), field).tobytes()
+                 for fn in (core.predict, core.predict_derivative)
+                 for field in ("mean", "std", "half_width"))
+print(json.dumps({"document": json.dumps(core.model_to_dict(model)),
+                  "bands": hashlib.sha256(bands).hexdigest()}))
+"""
+
+
+def test_fits_and_bands_do_not_depend_on_the_thread_count():
+    src = str(Path(alps.__file__).resolve().parents[1])
+    seen = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", _FIT_AND_BAND], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        seen.append(json.loads(out))
+    assert seen[0] == seen[1]
 
 
 @pytest.fixture(scope="module")

@@ -520,7 +520,8 @@ def test_the_gathered_columns_sum_in_order(p, evaluate):
 
 
 def test_bands_above_the_one_thread_limit(tmp_path):
-    # c = 904 > ONE_THREAD_MAX_BASES: W is inverted on the caller's threads.
+    # c = 904 > ONE_THREAD_MAX_BASES: the refit runs on the caller's threads,
+    # as every W inversion does; a loaded model's bands are the fit's bytes.
     rng = np.random.default_rng(12)
     t = np.sort(rng.uniform(0.0, 1.0, 1000))
     model = _model_at(t, np.sin(6.0 * t) + rng.normal(0.0, 0.1, t.size), 900, 4, 2, 1e-3)
