@@ -4,8 +4,8 @@ A fit makes hundreds of Gram products, Cholesky factors and ``eigh``
 calls, one set per section count, on systems of at most c x c. While c is
 small, OpenBLAS's hand-off to its worker threads costs more than the extra
 threads save; for large c the threads pay off. ``blas_threads_for(c)``
-gives a scope that sets every OpenBLAS loaded in the process to one thread
-for systems of at most ``ONE_THREAD_MAX_BASES`` basis functions, and
+gives a scope that sets NumPy's and SciPy's OpenBLAS to one thread for
+systems of at most ``ONE_THREAD_MAX_BASES`` basis functions, and
 changes nothing for larger ones. Only the solver opens it, around each
 design's profile and the refit; a model's bands run on the caller's
 threads. Each library gets back the count it had when the last open scope
@@ -31,11 +31,12 @@ _SYMBOLS = (
 
 
 def find_openblas(maps: str = "/proc/self/maps") -> list:
-    """(get, set) functions of every OpenBLAS mapped into this process.
-
-    Empty where the memory map cannot be read (outside Linux) or no
-    OpenBLAS is loaded.
+    """(get, set) functions of every OpenBLAS mapped into this process,
+    SciPy's among them: ``scipy.linalg`` is imported first. Empty where the
+    memory map cannot be read (outside Linux) or no OpenBLAS is loaded.
     """
+    import scipy.linalg  # noqa: F401
+
     try:
         with open(maps, encoding="utf-8") as fh:
             paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh
@@ -63,9 +64,8 @@ class OneBlasThread:
 
     The outermost entry in the process saves each library's thread count
     and sets it to 1; the last exit restores the saved counts. Libraries
-    are looked up once, at the first entry: every scope is opened by the
-    solver after it has imported ``scipy.linalg``, so NumPy's and SciPy's
-    copies are both mapped by then.
+    are looked up once, at the first entry, where ``find_openblas`` maps
+    SciPy's copy beside NumPy's.
     """
 
     def __init__(self, find=find_openblas):

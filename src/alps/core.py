@@ -234,8 +234,8 @@ def fit(data: TimeSeries, config: FitConfig = FitConfig()) -> AlpsModel:
 
 
 def _select(rows):
-    """Least cost over rows sorted by m; ties keep the smaller m. With no
-    finite cost this is rows[0], which the search left at (m, nan, inf)."""
+    """The least-cost row (m, lambda, cost), the smallest m of its ties; with
+    no finite cost rows[0], which the search left at (m, nan, inf)."""
     ms, _, costs = zip(*rows)
     return rows[best_columns(np.array([costs]), np.array([ms], dtype=float), -1)[0]]
 

@@ -35,7 +35,7 @@ from .penalty import difference_band
 # effectively interpolating and carries no generalization information.
 GCV_DENOM_FLOOR = 1e-8
 
-# Relative tolerance for treating two GCV costs as tied.
+# A GCV cost within this fraction of its row's least cost ties with it.
 COST_TIE_RTOL = 1e-12
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -176,18 +176,15 @@ def _gcv_cost(rss, tr_h, n):
 
 
 def best_columns(cost: np.ndarray, key: np.ndarray, sign: int) -> np.ndarray:
-    """Index of each row's best column, scanning left to right: a finite
-    cost displaces the incumbent when smaller and not tied with it, or tied
-    with a larger ``sign * key``. Costs tie when they differ by at most
-    COST_TIE_RTOL of the larger."""
-    rows, best = np.arange(cost.shape[0]), np.zeros(cost.shape[0], dtype=np.intp)
-    with np.errstate(invalid="ignore"):
-        for j in range(1, cost.shape[1]):
-            c, b = cost[:, j], cost[rows, best]
-            tied = np.abs(c - b) <= COST_TIE_RTOL * np.maximum(c, b)
-            wins = np.where(tied, sign * key[:, j] > sign * key[rows, best], c < b)
-            best = np.where(np.isfinite(c) & (~np.isfinite(b) | wins), j, best)
-    return best
+    """Index of each row's best column, whatever the columns' order: among
+    the finite costs within COST_TIE_RTOL of the row's least (cost - least
+    <= COST_TIE_RTOL * cost), the largest ``sign * key``, the first of equal
+    keys; column 0 where no cost is finite."""
+    finite = np.isfinite(cost)
+    least = np.min(cost, axis=1, keepdims=True, initial=np.inf, where=finite)
+    with np.errstate(invalid="ignore"):  # inf - inf on rows with no finite cost
+        tied = finite & (cost - least <= COST_TIE_RTOL * cost)
+    return np.argmax(np.where(tied, sign * key, -np.inf), axis=1)
 
 
 class GcvProfile(NamedTuple):
@@ -202,12 +199,13 @@ class GcvProfile(NamedTuple):
     leaves out have g = 0 and add nothing to either sum. No
     lambda-dependent term cancels against y'y, so shifting y moves lambda
     by rounding only. An rss at or below ``zero`` is rounding of y'y and
-    scores 0. mu is None where B_u'B_u + D'D is not definite (fewer than q
-    distinct epochs, which ``core.fit`` rejects): such a profile scores
-    +inf at every lambda. With exactly q distinct epochs, the splines that
-    D leaves unpenalized interpolate the epochs' values: every mu is 0 and
-    w = ys^2, so every (m, lambda) scores the same float and the tie rules
-    decide."""
+    scores 0. mu is None where ``dpbtrf`` rejects the factor of
+    B_u'B_u + D'D, or ``eigh`` fails: such a profile scores +inf at every
+    lambda. With fewer than q distinct epochs (``core.fit`` rejects them)
+    that matrix is singular, but rounding can let its factor through.
+    With exactly q distinct epochs, the splines that D leaves unpenalized
+    interpolate the epochs' values: every mu is 0 and w = ys^2, so every
+    (m, lambda) scores the same float and the tie rule decides."""
 
     mu: np.ndarray | None
     w: np.ndarray | None = None
@@ -318,9 +316,10 @@ def _each(f, x: np.ndarray) -> np.ndarray:
 def search_lambda(profiles, n: int, points: np.ndarray):
     """Lambda search of every profile at once: all grid ``points``, then a
     fixed-iteration golden section on log-lambda between the best grid
-    point's neighbours. The least cost scored wins, ties (``best_columns``)
-    the larger lambda. Arrays (lambda_hat, cost); (nan, inf) if degenerate.
-    ``n`` is the number of observations behind the profiles."""
+    point's neighbours. Of every lambda scored, in no particular order,
+    ``best_columns`` picks the largest whose cost ties with the least.
+    Arrays (lambda_hat, cost); (nan, inf) if degenerate. ``n`` is the
+    number of observations behind the profiles."""
     rows = np.arange(len(profiles))
     lam = np.broadcast_to(points, (rows.size, points.size))
     cost = _scorer(profiles, n, points.size)(lam)
@@ -334,8 +333,6 @@ def search_lambda(profiles, n: int, points: np.ndarray):
         costs = _scorer([profiles[r] for r in active], n, 1)
         lam_g[active], cost_g[active] = _golden_section(costs, lo[active], hi[active])
         lam, cost = np.hstack((lam, lam_g)), np.hstack((cost, cost_g))
-        order = np.lexsort((cost, lam))
-        lam, cost = np.take_along_axis(lam, order, 1), np.take_along_axis(cost, order, 1)
     pick = best_columns(cost, lam, 1)
     lam, cost = lam[rows, pick], cost[rows, pick]
     return np.where(np.isfinite(cost), lam, np.nan), np.where(np.isfinite(cost), cost, np.inf)
@@ -377,8 +374,6 @@ def minimize_gcv_lambda(designs, y, q: int, grid: LambdaGrid = LambdaGrid()):
     built at the distinct epochs only; designs that share one epochs array
     share the merge.
     """
-    import scipy.linalg  # noqa: F401  (loaded before any BLAS scope opens)
-
     if isinstance(designs, BasisMatrix):
         raise InvalidInputError("designs must be an iterable of BasisMatrix; pass [B] for one")
     y = np.asarray(y, dtype=float)

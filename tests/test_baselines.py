@@ -66,6 +66,10 @@ class TestFitPolynomial:
         with pytest.raises(InvalidInputError):
             fit_polynomial(TimeSeries(np.array([0.0, 1.0]), np.zeros(2)), 2)
 
+    def test_negative_degree(self):
+        with pytest.raises(InvalidInputError, match="degree must be >= 0"):
+            fit_polynomial(TimeSeries(np.array([0.0, 1.0]), np.zeros(2)), -1)
+
 
 class TestLinearInterpolation:
     def test_reproduces_nodes(self):

@@ -94,6 +94,10 @@ class TestBuildKnotVector:
             build_knot_vector([0.0, 1.0], m=1, p=0)
         with pytest.raises(InvalidInputError):
             build_knot_vector([0.0, 1.0], m=1, p=2, placement="random")
+        with pytest.raises(InvalidInputError, match="non-empty"):
+            build_knot_vector([], m=1, p=2)
+        with pytest.raises(InvalidInputError, match="finite"):
+            build_knot_vector([0.0, np.nan, 1.0], m=1, p=2)
 
 
 class TestEvalBasis:

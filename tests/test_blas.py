@@ -184,6 +184,45 @@ def test_libraries_mapped_after_the_first_scope_are_set(tmp_path, series, model)
     assert seen["after"] == seen["start"]
 
 
+# Opens the scope in a fresh interpreter before anything has imported
+# SciPy, imports scipy.linalg inside it, and prints the count of every
+# OpenBLAS mapped by then, read inside the scope and after it.
+_SCIPY_IMPORTED_INSIDE_THE_SCOPE = """
+import ctypes, json, sys
+from alps._blas import one_blas_thread
+
+def getters():
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = sorted({line.split()[-1] for line in fh
+                        if "openblas" in line.lower() and ".so" in line})
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        get = next(getattr(lib, name) for name in %r if hasattr(lib, name))
+        get.argtypes, get.restype = [], ctypes.c_int
+        yield get
+
+before_scipy = "scipy" in sys.modules
+with one_blas_thread:
+    import scipy.linalg
+    inside = [get() for get in getters()]
+print(json.dumps({"before_scipy": before_scipy, "inside": inside,
+                  "after": [get() for get in getters()]}))
+""" % (GETTERS,)
+
+
+@needs_openblas
+def test_scipy_imported_inside_the_first_scope_runs_on_one_thread():
+    src = str(Path(alps.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2")
+    out = subprocess.run([sys.executable, "-c", _SCIPY_IMPORTED_INSIDE_THE_SCOPE], env=env,
+                         check=True, capture_output=True, text=True, timeout=120).stdout
+    seen = json.loads(out)
+    assert not seen["before_scipy"]
+    assert len(seen["inside"]) == len(LIBS)
+    assert set(seen["inside"]) == {1}
+    assert set(seen["after"]) == {2}
+
+
 def test_bands_of_a_loaded_model_open_no_scope(monkeypatch, tmp_path, model):
     core.save_model(model, tmp_path / "model.json")
     loaded = core.load_model(tmp_path / "model.json")

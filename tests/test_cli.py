@@ -123,6 +123,10 @@ class TestFitPredict:
     def test_missing_input_is_parse_error(self, tmp_path):
         result = run("fit", tmp_path / "nope.csv")
         assert result.exit_code == 3
+        result = run("predict", tmp_path / "missing.json", "--grid", 50,
+                     "--out", tmp_path / "v.csv")
+        assert result.exit_code == 3
+        assert "cannot open" in result.stderr and not (tmp_path / "v.csv").exists()
 
     @pytest.mark.parametrize("field, value", [("sigma2", "NaN"), ("sigma2", "-2.0"),
                                               ("df_res", "0.0"), ("df_res", "-1.0")])
@@ -342,6 +346,12 @@ class TestSynthCommand:
         result = run("synth", "fusion", "--noise", -1, "--obs-out", tmp_path / "o.csv",
                      "--dense-out", tmp_path / "d.csv")
         assert result.exit_code == 2
+        result = run("synth", "gramacy-lee", "--noise", -1, "--out", tmp_path / "x.csv")
+        assert result.exit_code == 2
+        result = run("synth", "fusion", "--n-obs", 1, "--obs-out", tmp_path / "o.csv",
+                     "--dense-out", tmp_path / "d.csv")
+        assert result.exit_code == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture(scope="module")
@@ -395,6 +405,32 @@ def test_an_output_that_cannot_be_written_exits_1_with_one_error_line(
     line = re.fullmatch(r"error: (\w+): [^\n]+\n", result.stderr)
     assert line, result.stderr
     assert issubclass(getattr(builtins, line[1]), OSError)
+
+
+# Arguments a command rejects before it writes anything: (args, exit code,
+# part of the error line).
+BAD_ARGUMENTS = [
+    (["fit", "{series}", "--batch", "--out-dir", "models"], 2, "is not a directory"),
+    (["fit", "empty", "--batch", "--out-dir", "models"], 3, "no .csv files"),
+    (["predict", "{model}", "--out", "v.csv"], 2, "exactly one of --grid or --at"),
+    (["predict", "{model}", "--grid", 50, "--at", "{series}", "--out", "v.csv"], 2,
+     "exactly one of --grid or --at"),
+    (["predict", "{model}", "--grid", 1, "--out", "v.csv"], 2, "--grid needs at least 2"),
+    (["compare", "{series}", "--degrees", "x", "--out", "c.csv"], 2, "bad --degrees value"),
+]
+
+
+@pytest.mark.parametrize("args, code, message", BAD_ARGUMENTS,
+                         ids=[" ".join(map(str, a[0])) for a in BAD_ARGUMENTS])
+def test_bad_arguments_exit_with_their_code_and_one_error_line(
+        tmp_path, monkeypatch, inputs, args, code, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty").mkdir()
+    result = run(*[str(a).format(**inputs) for a in args])
+    assert result.exit_code == code
+    assert re.fullmatch(r"error: \w+: [^\n]+\n", result.stderr), result.stderr
+    assert message in result.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["empty"]
 
 
 def overflowing_series(path, seed):

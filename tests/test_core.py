@@ -758,7 +758,7 @@ class TestSerialization:
     @pytest.mark.parametrize("field, value", [
         ("sigma2", float("nan")), ("sigma2", -2.0), ("sigma2", float("inf")),
         ("df_res", 0.0), ("df_res", -1.0), ("df_res", float("nan")),
-        ("lambda", float("nan")), ("lambda", float("inf")),
+        ("lambda", float("nan")), ("lambda", float("inf")), ("gcv_cost", float("inf")),
         ("theta", float("nan")), ("normal_factor", float("inf")),
         ("factor_diagonals", float("inf")), ("knots", float("nan")),
         ("p", -1), ("p", 0), ("p", 1), ("p", 5), ("q", 0), ("q", 4),
@@ -782,6 +782,19 @@ class TestSerialization:
         else:
             doc[field] = value
         with pytest.raises(ParseError):
+            core.model_from_dict(doc)
+
+    @pytest.mark.parametrize("version, field, resize", [
+        (2, "theta", lambda a: a[:-1]),
+        (1, "normal_factor", lambda a: a[:-1]),
+        (1, "normal_factor", lambda a: [row[:-1] for row in a]),
+    ], ids=["theta-short", "factor-row-short", "factor-column-short"])
+    def test_arrays_not_sized_by_m_plus_p_are_parse_errors(self, noisy_model, version, field,
+                                                          resize):
+        _, model = noisy_model
+        doc = _version_1(model) if version == 1 else core.model_to_dict(model)
+        doc[field] = resize(doc[field])
+        with pytest.raises(ParseError, match=r"inconsistent with m \+ p"):
             core.model_from_dict(doc)
 
     @pytest.mark.parametrize("knots", [lambda k: k[:-1], lambda k: k[::-1],

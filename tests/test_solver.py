@@ -302,6 +302,15 @@ class TestMinimizeGcvLambda:
         (lam,), (cost,) = minimize_gcv_lambda([B], np.array([0.0, 1.0]), q=2)
         assert np.isnan(lam) and cost == np.inf
 
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_one_repeated_epoch_gives_a_factor_dpbtrf_rejects(self, q):
+        # Twelve samples at one epoch: B'B has rank 1, so B'B + D'D is
+        # singular for q >= 2, and at this epoch dpbtrf rejects its factor
+        # (elsewhere rounding can let it through).
+        B = eval_basis(build_knot_vector([0.0, 1.0], m=1, p=4), np.zeros(12))
+        (lam,), (cost,) = minimize_gcv_lambda([B], np.arange(12.0), q)
+        assert np.isnan(lam) and cost == np.inf
+
     @pytest.mark.parametrize("bad, match", BAD_Y)
     def test_y_not_finite_or_overflowing_raises_before_any_design(self, bad, match):
         times, kv, B = uniform_design()
@@ -475,6 +484,31 @@ class TestTieRule:
         cost = np.array([[1.0, 1.0], [2.0, 1.0]])
         key = np.array([[1.0, 2.0], [1.0, 2.0]])
         assert list(best_columns(cost, key, -1)) == [0, 1]
+
+    def test_ties_are_measured_from_the_least_cost(self):
+        # Each cost ties with its neighbour, but only the first two tie
+        # with the least; a rule that walks the columns would hand the tie
+        # on to column 2.
+        r = COST_TIE_RTOL
+        cost, key = np.array([[1.0, 1.0 + 0.8 * r, 1.0 + 1.6 * r]]), np.array([[1.0, 2.0, 3.0]])
+        assert best_columns(cost, key, 1)[0] == 1
+        assert best_columns(cost[:, ::-1], key[:, ::-1], 1)[0] == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-8, 8).map(lambda k: 1.0 + k * COST_TIE_RTOL / 4),
+                              st.just(np.inf)), min_size=1, max_size=8),
+           st.sampled_from([1, -1]), st.data())
+    def test_the_pick_does_not_depend_on_the_column_order(self, costs, sign, data):
+        # Near-tie clusters a quarter of the tolerance apart; the keys are
+        # distinct, so the same (key, cost) is the same column.
+        order = data.draw(st.permutations(range(len(costs))))
+        cost, key = np.array([costs]), np.arange(len(costs), dtype=float)[None]
+        a = best_columns(cost, key, sign)[0]
+        b = best_columns(cost[:, order], key[:, order], sign)[0]
+        if np.isfinite(cost).any():
+            assert order[b] == a
+        else:
+            assert a == b == 0
 
 
 def _profiles(n=60, ms=(1, 4, 9, 20, 33, 58), seed=3):
