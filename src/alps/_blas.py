@@ -6,7 +6,10 @@ small, OpenBLAS's hand-off to its worker threads costs more than the extra
 threads save; for large c the threads pay off. ``blas_threads_for(c)``
 gives a scope that sets NumPy's and SciPy's OpenBLAS to one thread for
 systems of at most ``ONE_THREAD_MAX_BASES`` basis functions, and
-changes nothing for larger ones. Only the solver opens it, around each
+changes nothing for larger ones. Those two libraries are found through
+the extension modules that call them (``find_openblas``); any other
+OpenBLAS in the process is left alone, and where neither module links
+OpenBLAS the scope changes nothing. Only the solver opens it, around each
 design's profile and the refit; a model's bands run on the caller's
 threads. Each library gets back the count it had when the last open scope
 ends, also when the wrapped code raises. The count is process-wide, so
@@ -18,7 +21,12 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import importlib
 import threading
+
+# Extension modules whose BLAS the solver calls: NumPy's linalg (its OpenBLAS
+# also runs NumPy's matmul) and SciPy's LAPACK wrappers (dpbtrf, eigh, ...).
+_MODULES = ("numpy.linalg._umath_linalg", "scipy.linalg._flapack")
 
 # (get, set) symbol pairs: NumPy's 64-bit-integer copy, SciPy's copy, and a
 # system OpenBLAS with 64-bit or 32-bit integers.
@@ -30,33 +38,22 @@ _SYMBOLS = (
 )
 
 
-def find_openblas(maps: str = "/proc/self/maps") -> list:
-    """(get, set) functions of every OpenBLAS mapped into this process,
-    SciPy's among them: ``scipy.linalg`` is imported first. Empty where the
-    memory map cannot be read (outside Linux) or no OpenBLAS is loaded.
+def find_openblas() -> list:
+    """(get, set) functions of each OpenBLAS that ``_MODULES`` link, resolved
+    through the modules' own shared objects (importing SciPy's imports
+    ``scipy.linalg``), one entry per getter address; empty if there is none.
     """
-    import scipy.linalg  # noqa: F401
-
-    try:
-        with open(maps, encoding="utf-8") as fh:
-            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh
-                            if "openblas" in line.lower() and ".so" in line})
-    except OSError:
-        return []
-    found = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
+    found = {}
+    for name in _MODULES:
+        lib = ctypes.CDLL(importlib.import_module(name).__file__)
         for get_name, set_name in _SYMBOLS:
             get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
             if get is not None and set_ is not None:
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                found.append((get, set_))
+                found.setdefault(ctypes.cast(get, ctypes.c_void_p).value, (get, set_))
                 break
-    return found
+    return list(found.values())
 
 
 class OneBlasThread:
@@ -64,8 +61,8 @@ class OneBlasThread:
 
     The outermost entry in the process saves each library's thread count
     and sets it to 1; the last exit restores the saved counts. Libraries
-    are looked up once, at the first entry, where ``find_openblas`` maps
-    SciPy's copy beside NumPy's.
+    are looked up once, at the first entry, through NumPy's and SciPy's
+    extension modules (``find_openblas``).
     """
 
     def __init__(self, find=find_openblas):

@@ -125,7 +125,8 @@ def fit_penalized(B, y, q: int, lam: float) -> FitResult:
     B, whose local values give its degree p, from its rows merged by epoch;
     its fitted values are ``B.dot``, a band's mean. Also evaluates the
     residual degrees of freedom and the unbiased error variance on the
-    c x c scale (no n x n smoother matrix is formed).
+    c x c scale (no n x n smoother matrix is formed). Fewer than q distinct
+    epochs leave A singular at every lambda: a RankDeficiencyError.
     """
     import scipy.linalg
 
@@ -138,6 +139,9 @@ def fit_penalized(B, y, q: int, lam: float) -> FitResult:
     _sum_of_squares(y)
     merge, ys = _distinct_rows(B.epochs, y)
     Bu = merge(B)
+    if Bu.shape[0] < q:
+        raise RankDeficiencyError(
+            f"need q = {q} distinct epochs for a definite normal matrix, got {Bu.shape[0]}")
     with blas_threads_for(c):
         G = Bu.T @ Bu
         # With q < c every column of D_q is nonzero: only lam = 0 leaves
@@ -201,8 +205,8 @@ class GcvProfile(NamedTuple):
     by rounding only. An rss at or below ``zero`` is rounding of y'y and
     scores 0. mu is None where ``dpbtrf`` rejects the factor of
     B_u'B_u + D'D, or ``eigh`` fails: such a profile scores +inf at every
-    lambda. With fewer than q distinct epochs (``core.fit`` rejects them)
-    that matrix is singular, but rounding can let its factor through.
+    lambda. It is None, with no factorization, for fewer than q distinct
+    epochs (``core.fit`` rejects them), where that matrix is singular.
     With exactly q distinct epochs, the splines that D leaves unpenalized
     interpolate the epochs' values: every mu is 0 and w = ys^2, so every
     (m, lambda) scores the same float and the tie rule decides."""
@@ -233,6 +237,8 @@ def gcv_profile(Bu: np.ndarray, ys: np.ndarray, yy: float, p: int, q: int) -> Gc
     import scipy.linalg
 
     r, c = Bu.shape
+    if r < q:
+        return GcvProfile(None)
     if r == q:
         w = ys * ys
         return GcvProfile(np.zeros(r), w, yy - math.fsum(w), _RSS_ROUNDING * yy)

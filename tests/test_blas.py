@@ -2,6 +2,7 @@
 caller's count, bands on the caller's count, and every call gives the
 caller's OpenBLAS thread counts back when it returns or raises."""
 
+import builtins
 import ctypes
 import json
 import os
@@ -80,8 +81,37 @@ def model(series):
     return core.fit(series)
 
 
+def _address(fn):
+    return ctypes.cast(fn, ctypes.c_void_p).value
+
+
 def test_finds_every_loaded_openblas():
     assert len(find_openblas()) == len(LIBS)
+
+
+def test_finds_one_entry_per_library_without_the_memory_map(monkeypatch):
+    real_open = open
+
+    def guarded(file, *args, **kwargs):
+        if str(file) == "/proc/self/maps":
+            raise AssertionError("find_openblas read the memory map")
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", guarded)
+    found = find_openblas()
+    addresses = [_address(get) for get, _ in found]
+    assert len(set(addresses)) == len(addresses)
+    assert set(addresses) == {_address(get) for get, _ in LIBS.values()}
+
+
+@needs_openblas
+def test_numpy_matmul_runs_on_the_library_found_through_numpy_linalg():
+    # NumPy 2 moved its core extension from numpy.core to numpy._core.
+    multiarray = (sys.modules.get("numpy._core._multiarray_umath")
+                  or sys.modules["numpy.core._multiarray_umath"])
+    lib = ctypes.CDLL(multiarray.__file__)
+    getter = next(getattr(lib, name) for name in GETTERS if hasattr(lib, name))
+    assert _address(getter) in {_address(get) for get, _ in find_openblas()}
 
 
 def _spy_on_eigh(monkeypatch):
@@ -401,11 +431,9 @@ def test_concurrent_scopes_hold_one_thread_until_the_last_exits():
     assert lib.threads == 4
 
 
-def test_no_library_makes_the_scope_a_no_op(tmp_path):
-    maps = tmp_path / "maps"
-    maps.write_text("00400000-00452000 r-xp 00000000 08:02 173521 /usr/bin/python3\n")
-    assert find_openblas(str(maps)) == []
-    assert find_openblas(str(tmp_path / "missing")) == []
+def test_no_library_makes_the_scope_a_no_op(monkeypatch):
+    monkeypatch.setattr(_blas, "_SYMBOLS", (("no_such_get", "no_such_set"),))
+    assert find_openblas() == []
     scope = OneBlasThread(lambda: [])
     with scope:
         with scope:

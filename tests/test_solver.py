@@ -305,11 +305,31 @@ class TestMinimizeGcvLambda:
     @pytest.mark.parametrize("q", [2, 3])
     def test_one_repeated_epoch_gives_a_factor_dpbtrf_rejects(self, q):
         # Twelve samples at one epoch: B'B has rank 1, so B'B + D'D is
-        # singular for q >= 2, and at this epoch dpbtrf rejects its factor
-        # (elsewhere rounding can let it through).
+        # singular for q >= 2.
         B = eval_basis(build_knot_vector([0.0, 1.0], m=1, p=4), np.zeros(12))
         (lam,), (cost,) = minimize_gcv_lambda([B], np.arange(12.0), q)
         assert np.isnan(lam) and cost == np.inf
+
+    @pytest.mark.parametrize("epoch", [0.0, 0.5, 0.77])
+    @pytest.mark.parametrize("p, q", [(3, 2), (4, 3)])
+    def test_fewer_distinct_epochs_than_q_factor_nothing(self, monkeypatch, epoch, p, q):
+        # Twelve samples at one epoch leave B'B + lam D'D singular at every
+        # lambda. At 0.5 and 0.77 rounding lets dpbtrf factor it, so the
+        # epoch count, not the factor, must decide.
+        B = eval_basis(build_knot_vector(np.linspace(0, 1, 20), m=1, p=p), np.full(12, epoch))
+        y = np.arange(12.0)
+        dpbtrf, calls = scipy.linalg.lapack.dpbtrf, []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return dpbtrf(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", spy)
+        (lam,), (cost,) = minimize_gcv_lambda([B], y, q)
+        assert np.isnan(lam) and cost == np.inf
+        with pytest.raises(RankDeficiencyError, match="distinct epochs .* got 1"):
+            fit_penalized(B, y, q, 1.0)
+        assert calls == []
 
     @pytest.mark.parametrize("bad, match", BAD_Y)
     def test_y_not_finite_or_overflowing_raises_before_any_design(self, bad, match):
