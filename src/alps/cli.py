@@ -302,10 +302,6 @@ def synth_group():
 @click.option("--truth-out", type=click.Path(), default=None)
 def synth_gramacy_lee(n, noise, seed, out, truth_out):
     """Noisy irregular samples of the oscillating benchmark function."""
-    if n < 2:
-        raise ConfigError("--n must be at least 2")
-    if noise < 0:
-        raise ConfigError("--noise must be >= 0")
     series, truth = synth.gramacy_lee_series(n=n, noise_sd=noise, seed=seed)
     write_timeseries(out, series)
     if truth_out:
@@ -321,10 +317,6 @@ def synth_gramacy_lee(n, noise, seed, out, truth_out):
 @click.option("--truth-out", type=click.Path(), default=None)
 def synth_fusion(n_obs, noise, seed, obs_out, dense_out, truth_out):
     """Seasonal dense series plus sparse observations of seasonal + slow."""
-    if n_obs < 2:
-        raise ConfigError("--n-obs must be at least 2")
-    if noise < 0:
-        raise ConfigError("--noise must be >= 0")
     suite = synth.fusion_suite(n_obs=n_obs, noise_sd=noise, seed=seed)
     write_timeseries(obs_out, suite.observations)
     write_timeseries(dense_out, suite.dense_model)

@@ -18,7 +18,6 @@ import functools
 import json
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +38,7 @@ from .errors import (
     InsufficientDataError,
     InvalidInputError,
     ParseError,
+    _require_integer,
 )
 from .solver import (
     LambdaGrid,
@@ -81,9 +81,7 @@ class FitConfig:
 
     def __post_init__(self):
         for name in ("p", "q"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            _require_integer(getattr(self, name), name, ConfigError)
         if not 2 <= self.p <= 4:
             raise ConfigError(f"degree p must be in [2, 4], got {self.p}")
         if not 1 <= self.q < self.p:

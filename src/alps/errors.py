@@ -3,6 +3,8 @@ mapping (``exit_code_for``)."""
 
 from __future__ import annotations
 
+import numbers
+
 
 class AlpsError(Exception):
     """Base class for the errors this package raises about its input,
@@ -64,6 +66,13 @@ class OutOfDomainError(DomainError):
 
 class CoverageError(DomainError):
     """Observation epochs not covered by the dense companion series."""
+
+
+def _require_integer(value, name: str, error: type = InvalidInputError) -> None:
+    """Raise ``error`` unless ``value`` is an integer; a bool, a float of
+    integral value and a numeric string are not."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
 
 
 def exit_code_for(exc: BaseException) -> int:

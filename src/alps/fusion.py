@@ -10,7 +10,7 @@ model only; systematic errors of both inputs are assumed negligible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,17 +72,11 @@ def reconstruct(
     aligned = align_dense_model(inp)
     lo, hi = dibc_model.domain
     mask = (aligned.times >= lo) & (aligned.times <= hi)
-    epochs = aligned.times[mask]
-    band = core.predict(dibc_model, epochs, alpha=alpha)
-    reconstruction = core.PredictionBand(
-        epochs=epochs,
-        mean=aligned.values[mask] + band.mean,
-        std=band.std,
-        half_width=band.half_width,
-        alpha=alpha,
-    )
+    band = core.predict(dibc_model, aligned.times[mask], alpha=alpha)
     return FusionResult(
-        difference_series=diff, dibc_model=dibc_model, reconstruction=reconstruction
+        difference_series=diff,
+        dibc_model=dibc_model,
+        reconstruction=replace(band, mean=aligned.values[mask] + band.mean),
     )
 
 

@@ -1,12 +1,13 @@
 """Two-level outlier detection and refit.
 
-Level 1 fits the full series and flags points whose residual exceeds the
-99% t-band scaled by threshold1. Level 2 refits without those points (full
-hyperparameter re-selection) and flags survivors beyond threshold2 times
-the new band. The final model is fit on the doubly cleaned series. Points
-flagged at level 1 are never reconsidered. A level that flags nothing does
-not refit: the next stage keeps the model it already has, which is the
-refit bit for bit.
+Each level runs the same stage on the series that is left: flag the points
+whose residual from the current model exceeds the 99% t-band scaled by the
+level's threshold (threshold1, then threshold2), drop them, and refit the
+rest with full hyperparameter re-selection. Level 1 flags against the fit
+of the full series, level 2 against the refit without level 1's points,
+and the final model is the refit after level 2. Points flagged at level 1
+are never reconsidered. A level that flags nothing does not refit: the next
+stage keeps the model it already has, which is the refit bit for bit.
 
 The flagging band is a prediction-type band: per-point standard deviation
 sigma_hat * sqrt(1 + q_i), where q_i is the fit-variance quadratic form.
@@ -72,30 +73,22 @@ def detect_and_refit(
     threshold1: float = DEFAULT_THRESHOLD1,
     threshold2: float = DEFAULT_THRESHOLD2,
 ) -> OutlierReport:
-    """Run the two-pass rejection and return flags plus the cleaned fit."""
+    """Run the two-level rejection and return flags plus the cleaned fit."""
     if not (0 < threshold1 < math.inf and 0 < threshold2 < math.inf):
         raise ConfigError(f"outlier thresholds must be finite and > 0, got "
                           f"{threshold1!r} and {threshold2!r}")
-    n = len(data)
-    indices = np.arange(n)
-
-    model1 = core.fit(data, config)
-    level1_mask = _flag(model1, data, threshold1)
-    level1 = indices[level1_mask]
-
-    survivors = data.subset(~level1_mask)
-    survivor_idx = indices[~level1_mask]
-    model2 = _fit_stage(survivors, config, level1, "level 2") if level1.size else model1
-    level2_mask = _flag(model2, survivors, threshold2)
-    level2 = survivor_idx[level2_mask]
-
-    clean = survivors.subset(~level2_mask)
-    flagged_all = np.concatenate((level1, level2))
-    final = _fit_stage(clean, config, flagged_all, "final fit") if level2.size else model2
+    series, origin, model = data, np.arange(len(data)), core.fit(data, config)
+    levels = []
+    for threshold, stage in ((threshold1, "level 2"), (threshold2, "final fit")):
+        mask = _flag(model, series, threshold)
+        levels.append(tuple(int(i) for i in origin[mask]))
+        if levels[-1]:
+            series, origin = series.subset(~mask), origin[~mask]
+            model = _fit_stage(series, config, sum(levels, ()), stage)
     return OutlierReport(
-        level1_indices=tuple(int(i) for i in level1),
-        level2_indices=tuple(int(i) for i in level2),
+        level1_indices=levels[0],
+        level2_indices=levels[1],
         thresholds=(threshold1, threshold2),
-        final_model=final,
-        clean_data=clean,
+        final_model=model,
+        clean_data=series,
     )

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from ._blas import blas_threads_for
 from .basis import BasisMatrix
-from .errors import InvalidInputError, RankDeficiencyError
+from .errors import InvalidInputError, RankDeficiencyError, _require_integer
 from .penalty import difference_band
 
 # GCV denominator (1 - tr(H)/n) below this scores +inf: the configuration is
@@ -51,8 +50,7 @@ class LambdaGrid:
     num: int = 41
 
     def __post_init__(self):
-        if not isinstance(self.num, numbers.Integral) or isinstance(self.num, bool):
-            raise InvalidInputError(f"lambda grid num must be an integer, got {self.num!r}")
+        _require_integer(self.num, "lambda grid num")
         if not (0 < self.lo <= self.hi < math.inf) or self.num < 1:
             raise InvalidInputError("lambda grid needs 0 < lo <= hi < inf and num >= 1")
 
@@ -131,6 +129,7 @@ def fit_penalized(B, y, q: int, lam: float) -> FitResult:
     import scipy.linalg
 
     p, n, c = _degree(B), B.first.size, B.n_bases
+    _require_integer(q, "penalty order q")
     y = np.asarray(y, dtype=float)
     if y.shape != (n,):
         raise InvalidInputError(f"y must have length {n}, got {y.shape}")
@@ -369,9 +368,10 @@ def minimize_gcv_lambda(designs, y, q: int, grid: LambdaGrid = LambdaGrid()):
     and each entry equals the search on that design alone. A None design
     (``basis.scan_bases``' degenerate knots) scores as a pencil that is not
     definite. A design of any other type, a bare ``BasisMatrix`` in place
-    of the iterable, a y that is not 1-D or that ``_sum_of_squares`` rejects
-    (checked before any design is drawn), or a design whose epoch count is
-    not y's length, is an InvalidInputError.
+    of the iterable, a q that is not an integer, a grid that is not a
+    ``LambdaGrid``, a y that is not 1-D or that ``_sum_of_squares`` rejects
+    (all checked before any design is drawn), or a design whose epoch count
+    is not y's length, is an InvalidInputError.
 
     Each design is diagonalized in its own BLAS scope and dropped before the
     next is drawn, then ``search_lambda`` searches all of them together. A
@@ -382,6 +382,9 @@ def minimize_gcv_lambda(designs, y, q: int, grid: LambdaGrid = LambdaGrid()):
     """
     if isinstance(designs, BasisMatrix):
         raise InvalidInputError("designs must be an iterable of BasisMatrix; pass [B] for one")
+    _require_integer(q, "penalty order q")
+    if not isinstance(grid, LambdaGrid):
+        raise InvalidInputError(f"grid must be a LambdaGrid, got {grid!r}")
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise InvalidInputError(f"y must have length N, one value per epoch, got {y.shape}")

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidInputError, _require_integer
 from .timeseries import TimeSeries
 
 GRAMACY_LEE_DOMAIN = (0.5, 2.5)
@@ -18,11 +20,23 @@ def gramacy_lee(x) -> np.ndarray:
     return np.sin(10.0 * np.pi * x) / (2.0 * x) + (x - 1.0) ** 4
 
 
+def _check_sample(n, noise_sd, name: str) -> None:
+    """A sample size ``n`` (named ``name``) of at least two points, which
+    pin both ends of the domain, and a finite noise_sd >= 0: an
+    InvalidInputError otherwise."""
+    _require_integer(n, name)
+    if n < 2:
+        raise InvalidInputError(f"{name} must be at least 2, got {n}")
+    if not 0 <= noise_sd < math.inf:
+        raise InvalidInputError(f"noise_sd must be finite and >= 0, got {noise_sd!r}")
+
+
 def gramacy_lee_series(
     n: int = 150, noise_sd: float = 0.05, seed: int = 0
 ) -> tuple[TimeSeries, np.ndarray]:
     """Irregularly sampled noisy series plus the noise-free truth at the
     same epochs. Endpoints are pinned so the domain is fully covered."""
+    _check_sample(n, noise_sd, "n")
     rng = np.random.default_rng(seed)
     lo, hi = GRAMACY_LEE_DOMAIN
     t = np.sort(rng.uniform(lo, hi, n))
@@ -62,6 +76,7 @@ def fusion_suite(
 ) -> FusionSuite:
     """Dense 10-day seasonal series over 2000-2006 and sparse noisy
     observations of seasonal + slow."""
+    _check_sample(n_obs, noise_sd, "n_obs")
     rng = np.random.default_rng(seed)
     start, end = 2000.0, 2006.0
     cadence = 10.0 / 365.25

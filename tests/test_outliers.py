@@ -107,6 +107,51 @@ class TestDetectAndRefit:
         assert err.value.flagged_so_far == (8, 9, 10, 11)
 
 
+def flags_in_turn(*levels):
+    """A stand-in for ``outliers._flag`` that flags, at its k-th call, the
+    positions ``levels[k]`` of the series it is handed, and records each
+    call's threshold and series length."""
+    calls = []
+
+    def flag(model, series, threshold):
+        calls.append((threshold, len(series)))
+        mask = np.zeros(len(series), dtype=bool)
+        mask[list(levels[len(calls) - 1])] = True
+        return mask
+
+    return flag, calls
+
+
+class TestStageBookkeeping:
+    """detect_and_refit end to end into each stage's failure: the label
+    names the fit that failed, and the flags so far list level 1's original
+    indices before level 2's."""
+
+    @pytest.fixture
+    def series(self):
+        t = np.linspace(2000.0, 2001.0, 12)
+        return TimeSeries(t, np.sin(t))
+
+    def test_a_level_2_refit_on_too_few_points(self, monkeypatch, series):
+        flag, calls = flags_in_turn(range(2, 10))
+        monkeypatch.setattr(outliers, "_flag", flag)
+        with pytest.raises(InsufficientDataAfterRejectionError, match="^level 2: ") as err:
+            outliers.detect_and_refit(series, threshold1=2.5, threshold2=1.5)
+        assert err.value.flagged_so_far == tuple(range(2, 10))
+        assert calls == [(2.5, 12)]
+
+    def test_a_final_refit_on_too_few_points(self, monkeypatch, series):
+        # Level 1 drops original 3 and 11; positions 3..9 of the ten
+        # survivors are originals 4..10, which leaves three points.
+        flag, calls = flags_in_turn((3, 11), range(3, 10))
+        monkeypatch.setattr(outliers, "_flag", flag)
+        with pytest.raises(InsufficientDataAfterRejectionError, match="^final fit: ") as err:
+            outliers.detect_and_refit(series, threshold1=2.5, threshold2=1.5)
+        assert err.value.flagged_so_far == (3, 11, 4, 5, 6, 7, 8, 9, 10)
+        assert "flagged so far: [3, 4, 5, 6, 7, 8, 9, 10, 11]" in str(err.value)
+        assert calls == [(2.5, 12), (1.5, 10)]
+
+
 def forced_refits(data):
     """The two-pass rejection with a refit after every level, whether it
     flagged anything or not: the oracle the skipped refits are checked

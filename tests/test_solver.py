@@ -350,6 +350,30 @@ class TestMinimizeGcvLambda:
         with pytest.raises(InvalidInputError, match="y must have length"):
             minimize_gcv_lambda([B], y, 2)
 
+    @pytest.mark.parametrize("q", [2.0, np.float64(2.0), True, "2"])
+    def test_q_must_be_an_integer(self, q):
+        times, kv, B = uniform_design()
+        y = np.sin(times)
+        with pytest.raises(InvalidInputError, match="q must be an integer"):
+            minimize_gcv_lambda([B], y, q)
+        with pytest.raises(InvalidInputError, match="q must be an integer"):
+            fit_penalized(B, y, q, 0.1)
+
+    def test_q_of_any_integer_type_is_accepted(self):
+        times, kv, B = uniform_design()
+        y = np.sin(times)
+        for got, want in zip(minimize_gcv_lambda([B], y, np.int64(2)),
+                             minimize_gcv_lambda([B], y, 2)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(fit_penalized(B, y, np.int64(2), 0.1).theta,
+                              fit_penalized(B, y, 2, 0.1).theta)
+
+    @pytest.mark.parametrize("grid", [(1e-4, 1e4, 41), [1e-4, 1e4, 41], None])
+    def test_grid_must_be_a_lambda_grid(self, grid):
+        times, kv, B = uniform_design()
+        with pytest.raises(InvalidInputError, match="LambdaGrid"):
+            minimize_gcv_lambda([B], np.sin(times), 2, grid=grid)
+
     def test_deterministic(self):
         rng = np.random.default_rng(33)
         times, kv, B = uniform_design(n=45, m=9, p=4)
